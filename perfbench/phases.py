@@ -3,20 +3,23 @@
 Host speed on a small shared machine drifts over seconds to minutes, so
 the phases are not run one after the other: each round runs a fixed-rate
 serve-read segment, one solve of every method, one replay of the
-serve-write stream and, every other round, one index build.  Host load
-only ever adds time, so timings take the best repeat: the fastest round,
-replay or build, and the lower quartile over serve-read windows.
+serve-write stream and, every other round, one index build.  Each of
+these is bracketed by a reference loop (:class:`~perfbench.common.HostSpeed`)
+and its times are scaled to reference speed; a timing metric is the
+median over the repeats, or for serve-read the lower quartile over 0.5 s
+windows.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import defaultdict
 
 import numpy as np
 
-from .common import env_with_sources, median, peak_rss_mb
-from .serve_read import LADDER, LIMIT_MS, PROBE_WINDOW_S, WINDOW_S, ReadSide
+from .common import HostSpeed, env_with_sources, median, peak_rss_mb
+from .serve_read import LIMIT_MS, PROBE_WINDOW_S, WINDOW_S, ReadSide
 from .serve_write import WriteSide
 from .solve import METHODS, Solver
 from .spans import SpanRecorder, attribute, install_layer_spans, load_spans
@@ -33,16 +36,15 @@ FIXED_SHARE = 0.2
 """Share of ``--seconds`` spent in fixed-rate serve-read segments."""
 PROBE_SHARE = 0.025
 """Share of ``--seconds`` spent on each rate-search probe."""
-READS_PER_SECOND = 34
+READS_PER_SECOND = 70
 """Serve-write reads per ``--seconds``, split over the replays."""
 WARM_S = 1.0
 
 END_TO_END_UNITS = {
     "setup_s": "s", "peak_rss_mb": "MB", "server_rss_mb": "MB",
     "oipsr_s": "s", "oipdsr_s": "s", "psum_s": "s", "matrix_s": "s",
-    "index_build_s": "s", "read_p50_ms": "ms", "read_p99_ms": "ms",
-    "read_qps_at_slo": "1/s", "write_p50_ms": "ms", "refresh_p50_ms": "ms",
-    "ops_per_s": "1/s", "mixed_read_p50_ms": "ms", "mixed_read_p95_ms": "ms",
+    "index_build_s": "s", "read_p50_ms": "ms", "write_p50_ms": "ms",
+    "refresh_p50_ms": "ms", "ops_per_s": "1/s", "mixed_read_p50_ms": "ms", "mixed_read_p95_ms": "ms",
 }
 SOLVE_METRIC = {"oip-sr": "oipsr_s", "psum": "psum_s", "matrix": "matrix_s",
                 "oip-dsr": "oipdsr_s"}
@@ -65,9 +67,10 @@ def run_workload(root: str, workdir: str, workload: str, seed: int,
                  seconds: float, trace: bool) -> dict:
     """Run every phase of ``workload``; ``trace`` reports per-layer metrics.
 
-    A traced run makes its first half of the rounds untraced and installs
-    the span wrappers for the second half, so the tracing overhead is the
-    difference between the halves.  It skips the rate search.
+    A traced run makes its first half of the rounds untraced and, for the
+    second half, installs the span wrappers and restarts the server under
+    the span launcher, so the tracing overhead is the difference between
+    the halves.  It then runs the rate search against a plain server.
     """
     kind, edge_factor = WORKLOADS[workload]
     read_seed, write_seed = (
@@ -79,15 +82,19 @@ def run_workload(root: str, workdir: str, workload: str, seed: int,
 
     recorder = None
     search = None
+    spans_path = os.path.join(workdir, "server-spans.json")
+    speed = HostSpeed()
     reader = ReadSide(root, workdir, env_with_sources(root), edge_factor,
-                      np.random.default_rng(read_seed), trace)
+                      np.random.default_rng(read_seed), speed)
     try:
         warm = reader.warm(WARM_S)
-        writer = WriteSide(graph, np.random.default_rng(write_seed), reads, workdir)
-        solver = Solver(graph)
+        writer = WriteSide(graph, np.random.default_rng(write_seed), reads,
+                           workdir, speed)
+        solver = Solver(graph, speed)
         try:
             for number in range(ROUNDS):
                 if trace and number == TRACED_FROM:
+                    reader.restart(WARM_S, spans_path)
                     recorder = SpanRecorder()
                     install_layer_spans(recorder)
                 reader.segment(segment_s, trace=recorder is not None)
@@ -98,17 +105,17 @@ def run_workload(root: str, workdir: str, workload: str, seed: int,
         finally:
             if recorder is not None:
                 recorder.uninstall()
-        # Read before the rate search, whose backlogged probes would add
-        # the load generator's own memory.
         work_rss_mb = peak_rss_mb()
-        if not trace:
-            if not reader.valid():
-                raise RuntimeError(
-                    f"fixed-rate phase invalid: the generator ran more than "
-                    f"{LIMIT_MS} ms late (p99) in most segments"
-                )
+        if not reader.valid():
+            raise RuntimeError(
+                f"fixed-rate phase invalid: the generator ran more than "
+                f"{LIMIT_MS} ms late (p99) in most segments"
+            )
+        if trace:
+            # The launcher writes the server's spans as it stops.
+            reader.restart(WARM_S)
             search = reader.search(max(PROBE_SHARE * seconds, 0.5))
-            if search[0] < 0:
+            if search[0] <= 0:
                 raise RuntimeError("no rate on the ladder met the read limit")
         read_end = reader.finish()
     finally:
@@ -117,14 +124,16 @@ def run_workload(root: str, workdir: str, workload: str, seed: int,
 
     def described(load, window_s):
         return (f"{load.rate:.0f}/s p50 {median(load.latency_ms):.2f} "
-                f"p99w {median(load.window_p99(window_s)):.2f} "
-                f"late99 {load.lateness_p99():.2f} err {load.failed + load.shed}")
+                f"p99w {median(load.window(99.0, window_s)):.2f} "
+                f"late99 {load.lateness_p99():.2f} "
+                f"err {load.failed + load.shed}")
 
     details = {
         "segments": [described(load, WINDOW_S) for load in reader.segments],
         "probes": [described(load, PROBE_WINDOW_S) for load in (search[1] if search else [])],
         "solve_s": {m: [round(v, 3) for v in vs] for m, vs in solver.seconds.items()},
         "solve_max_error": solver.errors,
+        "speed_factors": [round(factor, 3) for factor in speed.factors],
         "serve_read_mismatches": read_end["mismatches"],
         "serve_write_mismatch_rebuild": write_end["mismatch_rebuild"],
         "serve_write_mismatch_reopen": write_end["mismatch_reopen"],
@@ -143,17 +152,20 @@ def run_workload(root: str, workdir: str, workload: str, seed: int,
     failed = sum(load.failed + load.shed for load in (warm, *reader.segments))
 
     if trace:
-        metrics = layer_metrics(recorder, reader, solver, writer, write_end,
-                                generate_s, graph.num_vertices)
+        metrics = {
+            **layer_metrics(recorder, reader, solver, writer, write_end,
+                            generate_s, graph.num_vertices),
+            **_serve_read_layers(reader, spans_path),
+            "serve_read.qps_at_slo": search[0],
+        }
         units = LAYER_UNITS
     else:
         metrics = {
             "setup_s": median(reader.ready_s),
             "peak_rss_mb": work_rss_mb,
             "server_rss_mb": read_end["server_rss_mb"],
-            **{metric: solver.best(method) for method, metric in SOLVE_METRIC.items()},
-            **reader.metrics(),
-            "read_qps_at_slo": float(LADDER[search[0]]),
+            **{metric: solver.typical(method) for method, metric in SOLVE_METRIC.items()},
+            "read_p50_ms": reader.read_ms(50.0),
             **writer.metrics(),
         }
         units = END_TO_END_UNITS
@@ -196,23 +208,36 @@ for _unit, _names in (
         "service.index_fresh_ratio", "trace.overhead.solve",
         "trace.overhead.serve_read", "trace.overhead.serve_write",
         "trace.sum_ratio.solve", "trace.sum_ratio.serve_read",
-        "trace.sum_ratio.serve_write",
+        "trace.sum_ratio.serve_write", "trace.attributed_share.solve",
+        "trace.attributed_share.serve_read", "trace.attributed_share.serve_write",
     )),
     ("ns", ("sharing_engine.ns_per_addition",)),
-    ("1/s", ("index.rows_per_s",)),
+    ("1/s", ("index.rows_per_s", "serve_read.qps_at_slo")),
     ("B", ("catalog.write_bytes_per_op",)),
-    ("ms", ("loadgen.lateness_p99_ms",)),
+    ("ms", ("loadgen.lateness_p99_ms", "serve_read.p99_ms")),
 ):
     LAYER_UNITS.update(dict.fromkeys(_names, _unit))
 
 
-def _sum_ratio(per_op: list[dict], totals: list[float]) -> float:
-    """Sum of per-layer median self times over the median op time."""
-    names = {name for layers in per_op for name in layers}
-    summed = sum(
-        median([layers.get(name, 0.0) for layers in per_op]) for name in names
-    )
-    return summed / median(totals)
+def _shares(phase: str, per_op: list[dict], totals: list[float]) -> dict:
+    """How much of the median op time the per-layer median self times cover.
+
+    ``trace.sum_ratio`` adds every self time and the unattributed
+    remainder, so it departs from 1 only as far as medians are not
+    additive; ``trace.attributed_share`` adds the named layers alone and
+    shows how much of the time they explain.
+    """
+    typical = {
+        name: median([layers.get(name, 0.0) for layers in per_op])
+        for name in {name for layers in per_op for name in layers}
+    }
+    total = median(totals)
+    return {
+        f"trace.sum_ratio.{phase}": sum(typical.values()) / total,
+        f"trace.attributed_share.{phase}": sum(
+            value for name, value in typical.items() if name != "unattributed"
+        ) / total,
+    }
 
 
 def _below(spans, roots: set) -> dict:
@@ -227,17 +252,33 @@ def _below(spans, roots: set) -> dict:
     return found
 
 
-def _serve_read_layers(reader: ReadSide) -> dict:
+def _server_span(by_id: dict, request_id: int, sent: float, done: float) -> float:
+    """Duration of the server span of the request sent at ``sent``.
+
+    Request ids restart on every connection, so the id alone is not
+    unique; the span that began while this request was outstanding is.
+    ``time.perf_counter`` reads the system-wide monotonic clock on Linux,
+    so the two processes' times compare.
+    """
+    for start, duration in by_id[request_id]:
+        if sent <= start <= done:
+            return duration
+    raise RuntimeError(f"no server span for request {request_id} at {sent:.6f}")
+
+
+def _serve_read_layers(reader: ReadSide, spans_path: str) -> dict:
     """Per-request layers of the traced fixed-rate segments.
 
     Admission, queue, dispatch and tier times come from the span tree the
     server returns for a traced request; frame decode and encode come from
-    the launcher's spans in the server process, matched by request id.
+    the launcher's spans in the server process.
     """
-    dumps = [load_spans(path) for path in reader.spans_paths]
-    serving = dumps[-1]
-    decode = {s.request_id: s.duration for s in serving if s.name == "serve.decode"}
-    encode = {s.request_id: s.duration for s in serving if s.name == "serve.encode"}
+    serving = load_spans(spans_path)
+    decode, encode = defaultdict(list), defaultdict(list)
+    for found, name in ((decode, "serve.decode"), (encode, "serve.encode")):
+        for s in serving:
+            if s.name == name:
+                found[s.request_id].append((s.start, s.duration))
     batches = [s.tags["batch"] for s in serving if s.name == "service.query_many"]
     per_request, totals = [], []
     tier_s = defaultdict(list)
@@ -252,14 +293,14 @@ def _serve_read_layers(reader: ReadSide) -> dict:
         tier_s[tier[len("tier:"):]].append(inner[tier])
         service_s = service["duration_ms"] / 1e3
         layers = {
-            "decode": decode.get(request_id, 0.0),
+            "decode": _server_span(decode, request_id, sent, done),
             "admission": spans["admission"]["duration_ms"] / 1e3,
             "queue": spans["queue"]["duration_ms"] / 1e3,
             "dispatch": dispatch["duration_ms"] / 1e3 - service_s,
             "service": service_s - sum(inner.values()),
             "validate": inner.get("validate", 0.0),
             "tier": inner[tier],
-            "encode": encode.get(request_id, 0.0),
+            "encode": _server_span(encode, request_id, sent, done),
         }
         total = done - sent
         layers["unattributed"] = total - sum(layers.values())
@@ -268,6 +309,9 @@ def _serve_read_layers(reader: ReadSide) -> dict:
 
     def typical(layer):
         return median([layers[layer] for layers in per_request])
+
+    def latencies(loads):
+        return median([ms for load in loads for ms in load.scaled_ms])
 
     return {
         "serve.decode_s": typical("decode"),
@@ -281,13 +325,14 @@ def _serve_read_layers(reader: ReadSide) -> dict:
         "serve.hits.cache": sum(load.tiers.get("cache", 0) for load in traced),
         "serve.hits.index": sum(load.tiers.get("index", 0) for load in traced),
         "engine.serve_s": median(
-            [s.duration for spans in dumps for s in spans if s.name == "engine.serve"]
+            [s.duration for s in serving if s.name == "engine.serve"]
         ),
-        "trace.overhead.serve_read": (
-            median([v for load in traced for v in load.latency_ms])
-            / median([v for load in untraced for v in load.latency_ms]) - 1.0
-        ),
-        "trace.sum_ratio.serve_read": _sum_ratio(per_request, totals),
+        # Not end-to-end metrics: stalls of the shared host's CPUs set the
+        # tail and move the rate search's probes, and whole runs fall into
+        # spells of them.
+        "serve_read.p99_ms": reader.read_ms(99.0, untraced),
+        "trace.overhead.serve_read": latencies(traced) / latencies(untraced) - 1.0,
+        **_shares("serve_read", per_request, totals),
     }
 
 
@@ -297,13 +342,23 @@ def layer_metrics(recorder: SpanRecorder, reader: ReadSide, solver: Solver,
     """Per-layer metrics of the traced rounds."""
     spans = recorder.spans
     anchors = {**solver.anchors, **write_end["anchors"]}
-    in_solve = _below(spans, {i for i, s in enumerate(spans) if s.name == "solve.round"})
+    in_solve = _below(spans, {i for i, s in enumerate(spans) if s.name == "api.simrank"})
     in_ops = _below(spans, {i for i, s in enumerate(spans) if s.name.startswith("op.")})
 
     def typical(found, name):
         return median([span.duration for span in found[name]])
 
-    rounds = attribute(spans, {"solve.round"})
+    # A solve round is its four ``repro.simrank`` calls, without the
+    # reference loops between them.
+    calls = attribute(spans, {"api.simrank"})
+    rounds = []
+    for first in range(0, len(calls), len(METHODS)):
+        layers = defaultdict(float)
+        for _, call in calls[first:first + len(METHODS)]:
+            for name, value in call.items():
+                layers[name] += value
+        rounds.append((dict(layers), sum(
+            span.duration for span, _ in calls[first:first + len(METHODS)])))
     ops = attribute(spans, {"op.read", "op.insert", "op.refresh"})
     additions = anchors["sharing_engine.additions_per_iter"]
     iterate_s = typical(in_solve, "sharing_engine.iterate")
@@ -312,7 +367,8 @@ def layer_metrics(recorder: SpanRecorder, reader: ReadSide, solver: Solver,
     # Index hits only happen before the first insert, in an untraced
     # round, so per-tier read times pool every round.
     reads = defaultdict(list)
-    for seconds, tier in zip(writer.read_s, writer.read_tier):
+    read_s = [seconds for replay in writer.read_s for seconds in replay]
+    for seconds, tier in zip(read_s, writer.read_tier):
         reads[tier].append(seconds)
     return {
         "graph.generate_s": generate_s,
@@ -350,7 +406,6 @@ def layer_metrics(recorder: SpanRecorder, reader: ReadSide, solver: Solver,
         "catalog.manifest_write_s": typical(in_ops, "catalog.manifest_write"),
         "catalog.delta_segments": anchors["catalog.delta_segments"],
         "catalog.write_bytes_per_op": writer.written[-1] / writer.operations(),
-        **_serve_read_layers(reader),
         "loadgen.lateness_p99_ms": reader.fixed().lateness_p99(),
         "loadgen.sent": reader.fixed().sent,
         "loadgen.answered": reader.fixed().answered,
@@ -362,8 +417,8 @@ def layer_metrics(recorder: SpanRecorder, reader: ReadSide, solver: Solver,
         "trace.overhead.serve_write": (
             median(writer.stream_s[TRACED_FROM:])
             / median(writer.stream_s[:TRACED_FROM]) - 1.0),
-        "trace.sum_ratio.solve": _sum_ratio(
-            [layers for _, layers in rounds], [span.duration for span, _ in rounds]),
-        "trace.sum_ratio.serve_write": _sum_ratio(
-            [layers for _, layers in ops], [span.duration for span, _ in ops]),
+        **_shares("solve", [layers for layers, _ in rounds],
+                  [total for _, total in rounds]),
+        **_shares("serve_write", [layers for _, layers in ops],
+                  [span.duration for span, _ in ops]),
     }

@@ -4,14 +4,16 @@
 
 Each workload is one graph pair and runs every phase on it:
 
-* set-up: start ``python -m repro.cli serve`` three times (median ready time);
-* serve-read: Zipf top-10 stream over TCP, open loop at a fixed rate, then
-  a rate search, answers checked against an in-process engine;
+* set-up: start ``python -m repro.cli serve`` five times (median ready time);
+* serve-read: Zipf top-10 stream over TCP, open loop at a fixed rate (and
+  a rate search in traced runs), answers checked against an in-process
+  engine;
 * solve: all-pairs SimRank with oip-sr, psum, matrix and oip-dsr, gated
   against each other and against diff-matrix;
 * serve-write: catalog-backed reads beside edge inserts and refreshes,
   gated against a from-scratch rebuild and a reopened catalog.
 
+Times are scaled to reference host speed (``perfbench.common.HostSpeed``).
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs the
 phases untraced and then with span wrappers around each layer, and reports
 the per-layer metrics.  A failed correctness gate exits with status 1.

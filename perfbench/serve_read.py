@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .common import (
+    HostSpeed,
     median,
     peak_rss_mb,
     percentile,
@@ -52,6 +53,8 @@ WINDOW_S = 0.5
 """Fixed-rate p99 is the median over windows of this length (1,000 samples)."""
 PROBE_WINDOW_S = 0.25
 PROBE_TRIES = 3
+STARTS = 5
+"""Server starts at set-up; ``setup_s`` is their median."""
 READY = re.compile(r"serving n=\d+ m=\d+ on ([\d.]+):(\d+)")
 
 
@@ -138,14 +141,26 @@ class Load:
     shed: int = 0
     tiers: dict = field(default_factory=dict)
     traced: list = field(default_factory=list)
+    scaled_ms: list = field(default_factory=list)
+    """``latency_ms`` scaled to reference speed, where measured."""
 
-    def window_p99(self, window_s: float) -> list[float]:
-        per_window = max(int(self.rate * window_s), 1)
-        return windowed_percentile(self.latency_ms, per_window, 99.0)
+    def extend(self, part: "Load", factor: float) -> None:
+        """Append ``part``, whose latencies ``factor`` scales to reference speed."""
+        self.latency_ms += part.latency_ms
+        self.scaled_ms += [ms * factor for ms in part.latency_ms]
+        self.lateness_ms += part.lateness_ms
+        self.sent += part.sent
+        self.answered += part.answered
+        self.failed += part.failed
+        self.shed += part.shed
+        for tier, count in part.tiers.items():
+            self.tiers[tier] = self.tiers.get(tier, 0) + count
+        self.traced += part.traced
 
-    def window_p50(self, window_s: float) -> list[float]:
+    def window(self, q: float, window_s: float) -> list[float]:
+        """The ``q``-th latency percentile of each ``window_s`` window."""
         per_window = max(int(self.rate * window_s), 1)
-        return windowed_percentile(self.latency_ms, per_window, 50.0)
+        return windowed_percentile(self.latency_ms, per_window, q)
 
     def lateness_p99(self) -> float:
         return percentile(self.lateness_ms, 99.0)
@@ -159,8 +174,8 @@ class Load:
         if self.failed or self.shed or len(self.latency_ms) < self.sent:
             return False
         return (
-            median(self.window_p99(window_s)) <= limit_ms
-            and max(self.window_p50(window_s)) <= limit_ms
+            median(self.window(99.0, window_s)) <= limit_ms
+            and max(self.window(50.0, window_s)) <= limit_ms
         )
 
 
@@ -213,26 +228,37 @@ async def open_loop(client, stream, start: int, rate: float, duration: float,
 
 
 async def rate_search(client, stream, start: int, probe_s: float,
-                      known_pass: int) -> tuple[int, list[Load]]:
+                      known_pass: int, speed: HostSpeed) -> tuple[int, list[Load], float]:
     """Bisect the ladder for the highest rate that meets the limit.
 
     ``known_pass`` is a ladder index already shown to meet it (or -1).
     A probe whose generator ran later than the limit cannot show the
     server's behaviour; it counts as not meeting the limit.
-    Returns the ladder index (-1 when no rate met it) and the probes.
+    Returns the ladder index (-1 when no rate met it), the probes, and
+    the factor that scales that rate to reference speed.  The reference
+    loop runs between probes, once the previous one has drained: right
+    after an overloaded probe the server's backlog would slow the loop.
     """
     low, high = known_pass, len(LADDER)
     probes: list[Load] = []
+    references: list[float] = []
+    passing = None
     cursor = start
+
+    async def drained():
+        await asyncio.sleep(0.2)
+        references.append(speed.reference_s())
+
+    await drained()
     while high - low > 1:
         middle = (low + high) // 2
         # A transient stall can sink a probe; a rate only fails when
         # every one of its probes fails.
         for _ in range(PROBE_TRIES):
-            await asyncio.sleep(0.2)  # let the previous probe drain
             load = await open_loop(client, stream, cursor, LADDER[middle], probe_s)
             cursor += load.sent
             probes.append(load)
+            await drained()
             passed = (
                 load.lateness_p99() <= LIMIT_MS
                 and load.meets(LIMIT_MS, PROBE_WINDOW_S)
@@ -241,9 +267,13 @@ async def rate_search(client, stream, start: int, probe_s: float,
                 break
         if passed:
             low = middle
+            passing = len(probes) - 1
         else:
             high = middle
-    return low, probes
+    # The rate that passed is scaled by the loops around its own probe.
+    if passing is None:
+        return low, probes, speed.factor(references)
+    return low, probes, speed.factor(references[passing:passing + 2])
 
 
 def oracle_answers(edge_factor: int, vertices) -> dict:
@@ -274,27 +304,40 @@ class ReadSide:
     """The serving process, its seeded query stream and the loads sent."""
 
     def __init__(self, root: str, workdir: str, env: dict, edge_factor: int,
-                 rng: np.random.Generator, trace: bool, starts: int = 3) -> None:
+                 rng: np.random.Generator, speed: HostSpeed) -> None:
+        self.root = root
+        self.workdir = workdir
+        self.env = env
         self.edge_factor = edge_factor
+        self.speed = speed
         self.stream = zipf_stream(rng, 1 << RMAT_SCALE, STREAM_LENGTH)
         self.sample = list(dict.fromkeys(int(v) for v in self.stream))[:SAMPLE]
         self.cursor = 0
         self.ready_s: list[float] = []
-        self.spans_paths: list[str] = []
         self.segments: list[Load] = []
         self.server: Optional[ServerProcess] = None
-        for attempt in range(starts):
-            if self.server is not None:
-                self.server.stop()
-            spans_path = None
-            if trace:
-                spans_path = os.path.join(workdir, f"server-spans-{attempt}.json")
-                self.spans_paths.append(spans_path)
-            self.server = ServerProcess(
-                root, edge_factor, env, os.path.join(workdir, "server.log"),
-                spans_path,
-            )
-            self.ready_s.append(self.server.start())
+        for _ in range(STARTS):
+            seconds, factor = self.speed.scaled(self._start)
+            self.ready_s.append(seconds * factor)
+
+    def _start(self, spans_path: Optional[str] = None) -> float:
+        """Replace the running server by a fresh one; seconds until it listens."""
+        if self.server is not None:
+            self.server.stop()
+        self.server = ServerProcess(
+            self.root, self.edge_factor, self.env,
+            os.path.join(self.workdir, "server.log"), spans_path,
+        )
+        return self.server.start()
+
+    def restart(self, warm_s: float, spans_path: Optional[str] = None) -> None:
+        """Serve from a fresh server from now on, warmed.
+
+        With ``spans_path`` the server runs under the span launcher, which
+        writes its spans there when the server stops.
+        """
+        self._start(spans_path)
+        self.warm(warm_s)
 
     def _drive(self, body):
         """Run ``body(client)`` on a fresh connection with the collector off.
@@ -332,37 +375,58 @@ class ReadSide:
     def segment(self, seconds: float, trace: bool = False) -> Load:
         """One fixed-rate segment after an unreported warm-up on its connection.
 
-        Traced segments sample span trees.
+        The segment runs as 0.5 s windows with the reference loop between
+        them, so each window's latencies are scaled on their own.  Traced
+        segments sample span trees.
         """
 
         async def body(client):
             await self._send(client, RATE, SEGMENT_WARM_S)
-            return await self._send(client, RATE, seconds, trace)
+            load = Load(rate=RATE)
+            before = self.speed.reference_s()
+            for _ in range(max(1, round(seconds / WINDOW_S))):
+                part = await self._send(client, RATE, WINDOW_S, trace)
+                after = self.speed.reference_s()
+                load.extend(part, self.speed.factor([before, after]))
+                before = after
+            return load
 
         load = self._drive(body)
         self.segments.append(load)
         return load
 
-    def search(self, probe_s: float) -> tuple[int, list[Load]]:
-        """The rate search, starting above the fixed rate if it met the limit."""
+    def search(self, probe_s: float) -> tuple[float, list[Load]]:
+        """The rate search, starting above the fixed rate if it met the limit.
+
+        Returns the highest rate that met the limit, scaled to reference
+        speed (0 when none did), and the probes.
+        """
         known = -1
         if self.fixed().meets(LIMIT_MS, WINDOW_S):
             known = max(i for i, rate in enumerate(LADDER) if rate <= RATE)
 
         async def body(client):
-            result = await rate_search(client, self.stream, self.cursor, probe_s, known)
+            result = await rate_search(
+                client, self.stream, self.cursor, probe_s, known, self.speed
+            )
             self.cursor += sum(load.sent for load in result[1])
             return result
 
-        return self._drive(body)
+        passed, probes, factor = self._drive(body)
+        # A slow host serves fewer queries, so rates scale by the inverse.
+        return (LADDER[passed] / factor if passed >= 0 else 0.0), probes
 
-    def fixed(self) -> Load:
-        """The valid fixed-rate segments pooled, windows kept within segments."""
+    def fixed(self, segments: Optional[list[Load]] = None) -> Load:
+        """The valid fixed-rate segments (of ``segments``, or all) pooled.
+
+        Windows are kept within segments; latencies are scaled to
+        reference speed.
+        """
         pooled = Load(rate=RATE)
         per_window = int(RATE * WINDOW_S)
-        for load in self.valid_segments():
+        for load in self.valid_segments(segments):
             full = len(load.latency_ms) // per_window * per_window
-            pooled.latency_ms += load.latency_ms[:full]
+            pooled.latency_ms += load.scaled_ms[:full]
             pooled.lateness_ms += load.lateness_ms
             pooled.sent += load.sent
             pooled.answered += load.answered
@@ -370,13 +434,16 @@ class ReadSide:
             pooled.shed += load.shed
         return pooled
 
-    def valid_segments(self) -> list[Load]:
+    def valid_segments(self, segments: Optional[list[Load]] = None) -> list[Load]:
         """Segments whose generator kept to schedule within the read limit.
 
         A segment in which the generator itself ran late cannot show the
         server's latency; it is left out rather than reported.
         """
-        return [load for load in self.segments if load.lateness_p99() <= LIMIT_MS]
+        return [
+            load for load in (self.segments if segments is None else segments)
+            if load.lateness_p99() <= LIMIT_MS
+        ]
 
     def valid(self) -> bool:
         """At least half the segments kept to schedule."""
@@ -407,10 +474,11 @@ class ReadSide:
         if self.server is not None:
             self.server.stop()
 
-    def metrics(self) -> dict:
-        """Lower quartiles over windows: host load only ever adds latency."""
-        fixed = self.fixed()
-        return {
-            "read_p50_ms": percentile(fixed.window_p50(WINDOW_S), 25.0),
-            "read_p99_ms": percentile(fixed.window_p99(WINDOW_S), 25.0),
-        }
+    def read_ms(self, q: float, segments: Optional[list[Load]] = None) -> float:
+        """Lower quartile over 0.5 s windows of the window's ``q``-th percentile.
+
+        Latencies are scaled to reference speed, which removes slow spells
+        of the whole host; the lower quartile also drops windows that a
+        brief stall of one process disturbed.
+        """
+        return percentile(self.fixed(segments).window(q, WINDOW_S), 25.0)

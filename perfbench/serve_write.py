@@ -12,7 +12,7 @@ each time on a fresh copy of the committed catalog.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import os
 import shutil
 import time
@@ -20,8 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .common import median, new_edges, percentile, written_bytes, zipf_stream
-from .spans import SpanRecorder
+from .common import (
+    HostSpeed,
+    median,
+    new_edges,
+    percentile,
+    written_bytes,
+    zipf_stream,
+)
+from .spans import SpanRecorder, span
 
 ITERATIONS = 25
 INDEX_K = 50
@@ -55,12 +62,13 @@ class WriteSide:
 
     Every replay serves a fresh copy of the same base catalog and issues
     the same operations, so replays differ only in what the host did to
-    them; each metric takes the best replay.
+    them; each metric is the median over the replays of its scaled value.
     """
 
     def __init__(self, graph, rng: np.random.Generator, reads: int,
-                 workdir: str) -> None:
+                 workdir: str, speed: HostSpeed) -> None:
         self.graph = graph
+        self.speed = speed
         n = graph.num_vertices
         self.stream = zipf_stream(rng, n, reads)
         self.inserts = new_edges(
@@ -74,9 +82,8 @@ class WriteSide:
         self.catalog_path: Optional[str] = None
         self.engine = None
         self.service = None
-        self.read_s: list[float] = []
+        self.read_s: list[list[float]] = []
         self.read_tier: list[str] = []
-        self.read_replay: list[int] = []
         self.write_s: list[list[float]] = []
         self.refresh_s: list[list[float]] = []
         self.stream_s: list[float] = []
@@ -88,10 +95,15 @@ class WriteSide:
 
         target = path or os.path.join(self.workdir, "scratch-catalog")
         shutil.rmtree(target, ignore_errors=True)
-        started = time.perf_counter()
-        with Engine(self.graph, _config(target)) as engine:
-            engine.build_index()
-        self.build_s.append(time.perf_counter() - started)
+
+        def build():
+            started = time.perf_counter()
+            with Engine(self.graph, _config(target)) as engine:
+                engine.build_index()
+            return time.perf_counter() - started
+
+        seconds, factor = self.speed.scaled(build)
+        self.build_s.append(seconds * factor)
         if path is None:
             shutil.rmtree(target, ignore_errors=True)
 
@@ -115,53 +127,63 @@ class WriteSide:
             self.engine.close()
 
     def replay(self, number: int, recorder: Optional[SpanRecorder] = None) -> None:
-        """Replay the whole op stream on a fresh copy of the catalog."""
+        """Replay the whole op stream on a fresh copy of the catalog.
+
+        The stream runs in chunks of :data:`READS_PER_INSERT` reads and
+        the insert (and refresh) after them; each chunk's times are scaled
+        to reference speed.
+        """
+        self._open(number)
+        wrote = written_bytes()
+        steps = [
+            functools.partial(self._chunk, first, recorder)
+            for first in range(0, len(self.stream), READS_PER_INSERT)
+        ]
+        stream_s, reads, writes, refreshes = 0.0, [], [], []
+        for (seconds, chunk), factor in self.speed.scaled_each(steps):
+            stream_s += seconds * factor
+            for times, chunk_times in zip((reads, writes, refreshes), chunk):
+                times.extend(value * factor for value in chunk_times)
+        self.written.append(written_bytes() - wrote)
+        self.stream_s.append(stream_s)
+        self.read_s.append(reads)
+        self.write_s.append(writes)
+        self.refresh_s.append(refreshes)
+
+    def _chunk(self, first: int, recorder: Optional[SpanRecorder]):
+        """Reads from stream position ``first`` on, then the next insert."""
         from repro.service.requests import QueryRequest
 
-        def span(name):
-            return recorder.span(name) if recorder else contextlib.nullcontext()
-
-        self._open(number)
         label_of = self.graph.label_of
         service = self.service
-        writes, refreshes = [], []
-        inserted = 0
-        wrote = written_bytes()
+        reads, writes, refreshes = [], [], []
         started = time.perf_counter()
-        for position, vertex in enumerate(self.stream, start=1):
+        for vertex in self.stream[first:first + READS_PER_INSERT]:
             request = QueryRequest(query=label_of(int(vertex)), k=TOP_K)
             began = time.perf_counter()
-            with span("op.read"):
+            with span(recorder, "op.read"):
                 response = service.query(request)
-            self.read_s.append(time.perf_counter() - began)
+            reads.append(time.perf_counter() - began)
             self.read_tier.append(response.tier)
-            self.read_replay.append(number)
-            if position % READS_PER_INSERT:
-                continue
-            source, target = self.inserts[inserted]
-            inserted += 1
+        inserted = first // READS_PER_INSERT + 1
+        if len(reads) == READS_PER_INSERT:
+            source, target = self.inserts[inserted - 1]
             began = time.perf_counter()
-            with span("op.insert"):
+            with span(recorder, "op.insert"):
                 added = service.add_edge(label_of(source), label_of(target))
             writes.append(time.perf_counter() - began)
             if not added:
                 raise RuntimeError(f"edge {(source, target)} was already present")
             if inserted % INSERTS_PER_REFRESH == 0:
                 began = time.perf_counter()
-                with span("op.refresh"):
+                with span(recorder, "op.refresh"):
                     service.refresh()
                 refreshes.append(time.perf_counter() - began)
-        self.stream_s.append(time.perf_counter() - started)
-        self.written.append(written_bytes() - wrote)
-        self.write_s.append(writes)
-        self.refresh_s.append(refreshes)
+        return time.perf_counter() - started, (reads, writes, refreshes)
 
-    def operations(self, number: int = 0) -> int:
-        """Operations in one replay."""
-        return len(self.stream) + len(self.write_s[number]) + len(self.refresh_s[number])
-
-    def replays_read_s(self, number: int) -> list[float]:
-        return [s for s, r in zip(self.read_s, self.read_replay) if r == number]
+    def operations(self) -> int:
+        """Operations in one replay; every replay issues the same ones."""
+        return len(self.stream) + len(self.write_s[0]) + len(self.refresh_s[0])
 
     def finish(self) -> dict:
         """Counts of the last replay, then the gates; closes every engine."""
@@ -197,16 +219,18 @@ class WriteSide:
         }
 
     def metrics(self) -> dict:
-        replays = range(len(self.stream_s))
-        reads = [self.replays_read_s(number) for number in replays]
+        """Scaled times: percentiles over every replay's operations pooled,
+        medians over the replays' rates and over the index builds."""
+
+        def pooled(replays):
+            return [seconds * 1e3 for replay in replays for seconds in replay]
+
         return {
-            "index_build_s": min(self.build_s),
-            # Too few inserts per replay for a tail percentile.
-            "write_p50_ms": min(median(writes) for writes in self.write_s) * 1e3,
-            "refresh_p50_ms": min(median(r) for r in self.refresh_s) * 1e3,
-            "ops_per_s": max(
-                self.operations(number) / self.stream_s[number] for number in replays
-            ),
-            "mixed_read_p50_ms": min(median(r) for r in reads) * 1e3,
-            "mixed_read_p95_ms": min(percentile(r, 95.0) for r in reads) * 1e3,
+            "index_build_s": median(self.build_s),
+            # Too few inserts for a tail percentile.
+            "write_p50_ms": median(pooled(self.write_s)),
+            "refresh_p50_ms": median(pooled(self.refresh_s)),
+            "ops_per_s": median(self.operations() / s for s in self.stream_s),
+            "mixed_read_p50_ms": median(pooled(self.read_s)),
+            "mixed_read_p95_ms": percentile(pooled(self.read_s), 95.0),
         }

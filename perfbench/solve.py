@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import gc
 import time
 from typing import Optional
 
 import numpy as np
 
-from .spans import SpanRecorder
+from .common import HostSpeed, median
+from .spans import SpanRecorder, span
 
 DAMPING = 0.6
 ITERATIONS = 14
@@ -33,34 +34,38 @@ def _max_error(first, second) -> float:
 class Solver:
     """Times rounds of the four solvers; the first round is also gated."""
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph, speed: HostSpeed) -> None:
         self.graph = graph
+        self.speed = speed
         self.seconds: dict[str, list[float]] = {method: [] for method in METHODS}
         self.round_seconds: list[float] = []
         self.errors: dict[str, float] = {}
         self.anchors: dict[str, float] = {}
 
     def round(self, recorder: Optional[SpanRecorder] = None) -> None:
-        from repro import simrank
-
-        def span(name, **tags):
-            return recorder.span(name, **tags) if recorder else contextlib.nullcontext()
-
-        kept = {}
-        started = time.perf_counter()
-        with span("solve.round"):
-            for method in METHODS:
-                gc.collect()
-                began = time.perf_counter()
-                with span("api.simrank", method=method):
-                    result = simrank(self.graph, method=method, **_params(method))
-                self.seconds[method].append(time.perf_counter() - began)
-                if not self.errors:
-                    kept[method] = result
-                del result
-        self.round_seconds.append(time.perf_counter() - started)
+        """One solve with every method; times are scaled to reference speed."""
+        steps = [functools.partial(self._solve, method, recorder) for method in METHODS]
+        kept, total = {}, 0.0
+        for method, ((seconds, result), factor) in zip(
+            METHODS, self.speed.scaled_each(steps)
+        ):
+            self.seconds[method].append(seconds * factor)
+            total += seconds * factor
+            if not self.errors:
+                kept[method] = result
+            del result
+        self.round_seconds.append(total)
         if kept:
             self._gate(kept)
+
+    def _solve(self, method: str, recorder: Optional[SpanRecorder]):
+        from repro import simrank
+
+        gc.collect()
+        started = time.perf_counter()
+        with span(recorder, "api.simrank", method=method):
+            result = simrank(self.graph, method=method, **_params(method))
+        return time.perf_counter() - started, result
 
     def _gate(self, kept: dict) -> None:
         from repro import simrank
@@ -84,6 +89,6 @@ class Solver:
             error <= TOLERANCE for error in self.errors.values()
         )
 
-    def best(self, method: str) -> float:
-        """Seconds of the fastest round: host load only ever adds time."""
-        return min(self.seconds[method])
+    def typical(self, method: str) -> float:
+        """Scaled seconds per solve, median over the rounds."""
+        return median(self.seconds[method])

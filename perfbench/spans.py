@@ -109,6 +109,13 @@ class SpanRecorder:
             )
 
 
+def span(recorder: Optional[SpanRecorder], name: str, **tags):
+    """``recorder.span(name, **tags)``, or a no-op block when untraced."""
+    if recorder is None:
+        return contextlib.nullcontext()
+    return recorder.span(name, **tags)
+
+
 def load_spans(path) -> list[Span]:
     with open(path, encoding="utf-8") as handle:
         return [Span(*fields) for fields in json.load(handle)]
