@@ -88,6 +88,10 @@ def oip_sr(
     if iterations is None:
         iterations = conventional_iterations(accuracy, damping)
     iterations = validate_iterations(iterations)
+    if not threshold >= 0.0:  # also rejects NaN
+        raise ConfigurationError(
+            f"threshold must be a non-negative number, got {threshold}"
+        )
 
     instrumentation = Instrumentation()
     if plan is None:
@@ -100,9 +104,6 @@ def oip_sr(
 
     engine = SharingEngine(graph, plan, instrumentation=instrumentation)
     trace = ConvergenceTrace(model="conventional", damping=damping)
-
-    if threshold < 0.0:
-        raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
 
     scores = engine.initial_scores()
     with instrumentation.timer.phase("share_sums"):

@@ -77,7 +77,9 @@ class Capabilities:
     uses_partial_sums:
         Whether the method's cost is governed by the paper's partial-sum
         sharing model (Eq. 7) — the planner then scales its estimate by the
-        measured sharing ratio instead of the raw operator size.
+        measured sharing ratio instead of the raw operator size, and prices
+        it as sparse products (the sharing engine's level operators) rather
+        than a per-vertex Python loop.
     """
 
     tasks: frozenset[str] = frozenset({"all_pairs"})

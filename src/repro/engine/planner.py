@@ -517,8 +517,15 @@ def plan_task(
             raw_ops, sharing_reason = _per_vertex_ops(
                 capabilities, stats, iterations
             )
-            breakdown["python_vertex_step"] = raw_ops
-            ops = int(raw_ops * model.weight("python_vertex_step"))
+            # The sharing solvers run their plan as level-synchronous CSR
+            # products; psum and naive still loop over vertices in Python.
+            kernel = (
+                "sparse_matvec"
+                if capabilities.uses_partial_sums
+                else "python_vertex_step"
+            )
+            breakdown[kernel] = raw_ops
+            ops = int(raw_ops * model.weight(kernel))
             peak = n * n * 8 + n * 8
             if sharing_reason is not None:
                 reasons.append(sharing_reason)

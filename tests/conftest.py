@@ -63,3 +63,19 @@ def small_citation_graph():
 def small_random_graph():
     """A sparse directed G(n, p) graph with little structure."""
     return gnp_random(num_vertices=60, edge_probability=0.06, seed=3)
+
+
+@pytest.fixture(scope="session")
+def berkstan_graph():
+    """The full-size BERKSTAN analogue (n = 1,200, share ratio 0.83)."""
+    from repro.workloads.datasets import load_dataset
+
+    return load_dataset("berkstan", 1.0)
+
+
+@pytest.fixture(scope="session")
+def rmat_scale10_graph():
+    """An r-mat graph (n = 1,024) whose sharing plan is almost all scratch."""
+    from repro.graph.generators.rmat import rmat
+
+    return rmat(scale=10, num_edges=3072, seed=7)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,20 @@ class TestThresholdSieving:
     def test_negative_threshold_rejected(self, paper_graph):
         with pytest.raises(ConfigurationError):
             oip_sr(paper_graph, damping=0.6, iterations=3, threshold=-0.1)
+
+    def test_nan_threshold_rejected(self, paper_graph):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            oip_sr(paper_graph, damping=0.6, iterations=3, threshold=float("nan"))
+
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_threshold_checked_before_the_plan_is_built(
+        self, paper_graph, monkeypatch, threshold
+    ):
+        def unexpected_build(*args, **kwargs):
+            raise AssertionError("DMST-Reduce ran before the threshold check")
+
+        # ``repro.core`` re-exports the function under the module's name.
+        module = importlib.import_module("repro.core.oip_sr")
+        monkeypatch.setattr(module, "dmst_reduce", unexpected_build)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            oip_sr(paper_graph, damping=0.6, iterations=3, threshold=threshold)

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines.matrix_sr import matrix_simrank
 from repro.core.dmst_reduce import dmst_reduce
 from repro.core.instrumentation import Instrumentation
+from repro.core.oip_sr import oip_sr
 from repro.core.sharing_engine import SharingEngine
 from repro.graph.builders import from_edges, star_graph
 from repro.graph.matrices import backward_transition_matrix
@@ -112,3 +113,27 @@ def test_star_graph_iteration():
 def test_initial_scores_is_identity(paper_graph):
     engine = SharingEngine(paper_graph, dmst_reduce(paper_graph))
     assert np.array_equal(engine.initial_scores(), np.eye(paper_graph.num_vertices))
+
+
+@pytest.mark.parametrize(
+    "graph_fixture, additions, peak",
+    [("berkstan_graph", 4_351_600, 8_585), ("rmat_scale10_graph", 4_128_912, 3_817)],
+)
+def test_counts_are_pinned_on_full_size_graphs(request, graph_fixture, additions, peak):
+    # The Fig. 6d inputs: additions per iteration and the peak number of
+    # cached intermediate values, as Algorithm 1's depth-first walk has them.
+    result = oip_sr(request.getfixturevalue(graph_fixture), damping=0.6, iterations=2)
+    assert result.extra["additions_per_iteration"] == additions
+    assert result.peak_intermediate_values == peak
+
+
+def test_iterate_returns_c_contiguous_scores(paper_graph, small_citation_graph):
+    # A non-contiguous iterate would make every sparse product of the next
+    # iteration copy the whole n x n input.
+    for graph in (paper_graph, small_citation_graph):
+        engine = SharingEngine(graph, dmst_reduce(graph))
+        scores = engine.initial_scores()
+        for factor, pin in ((0.6, True), (1.0, False)):
+            scores = engine.iterate(scores, factor=factor, pin_diagonal=pin)
+            assert scores.flags.c_contiguous
+            assert scores.shape == (graph.num_vertices, graph.num_vertices)

@@ -141,16 +141,26 @@ class TestPlannerBitIdentity:
                 assert default == pinned
 
     def test_static_weighting_reproduces_legacy_arithmetic(self):
-        # The auto-backend rule used to compare `ops` vs `ops /
-        # DENSE_BLAS_SPEEDUP`; the per-vertex path used to compute
-        # `int(ops * PYTHON_LOOP_PENALTY)`.  Re-derive both from raw op
-        # counts and check the planner's numbers match exactly.
+        # The per-vertex path computes `int(ops * PYTHON_LOOP_PENALTY)`;
+        # the sharing solvers run level-synchronous CSR products and are
+        # priced at the sparse_matvec weight instead.  Re-derive both from
+        # raw op counts and check the planner's numbers match exactly.
         stats = GraphStats(num_vertices=500, num_edges=2000, sharing_ratio=0.5)
-        config = EngineConfig(method="oip-sr", iterations=5)
-        plan = plan_task("all_pairs", stats, config)
         baseline = 5 * stats.num_edges * stats.num_vertices
         shared = int(baseline * 0.5)
-        assert plan.estimated_ops == int(shared * PYTHON_LOOP_PENALTY)
+        for method in ("oip-sr", "oip-dsr"):
+            config = EngineConfig(method=method, iterations=5)
+            plan = plan_task("all_pairs", stats, config)
+            assert plan.estimated_ops == shared
+            assert [kernel for kernel, _, _ in plan.constants] == ["sparse_matvec"]
+        for method in ("psum", "naive"):
+            config = EngineConfig(method=method, iterations=5)
+            plan = plan_task("all_pairs", stats, config)
+            assert plan.estimated_ops == int(baseline * PYTHON_LOOP_PENALTY)
+            assert [kernel for kernel, _, _ in plan.constants] == [
+                "python_vertex_step"
+            ]
+        assert plan_task("all_pairs", stats, EngineConfig()).method == "matrix"
 
     def test_measured_profile_can_flip_the_backend_choice(self):
         # A host where dense BLAS is barely faster than CSR should keep
