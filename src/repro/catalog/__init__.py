@@ -1,9 +1,9 @@
 """Durable index catalog: versioned segments, manifest, edge log, compaction.
 
 The on-disk successor to the single-``.npz`` index format: a catalog
-directory holds an immutable memory-mapped **base segment**, incremental
-**delta segments** of refreshed rows, an append-only **edge log**, and one
-atomically rewritten ``MANIFEST.json`` that commits them — so a serving
+directory holds an immutable memory-mapped **base segment**, an
+append-only **row log** of refreshed rows, an append-only **edge log**, and
+one atomically rewritten ``MANIFEST.json`` that commits them — so a serving
 process can be killed at any instant and restart from disk with no rebuild
 and bit-identical answers.  See :mod:`repro.catalog.catalog` for the layout
 and crash-ordering rules.
@@ -28,7 +28,6 @@ from .segments import (
     open_base_segment,
     read_delta_segment,
     write_base_segment,
-    write_delta_segment,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "open_base_segment",
     "read_delta_segment",
     "write_base_segment",
-    "write_delta_segment",
 ]

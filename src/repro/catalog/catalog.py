@@ -1,21 +1,27 @@
-"""The durable index catalog: versioned base + delta segments + edge log.
+"""The durable index catalog: versioned base + row log + edge log.
 
 Directory layout (format version 1)::
 
     catalog/
-      MANIFEST.json        committed state — the only mutable file
+      MANIFEST.json        committed state — the only rewritten file
       EDGELOG.jsonl        append-only graph mutations (torn tail tolerated)
       base-000000/         current base segment (raw .npy CSR, mmap-opened)
         indptr.npy  columns.npy  values.npy  row_versions.npy
-      delta-000000.npz     refreshed rows keyed by graph version
-      delta-000001.npz     ...
+      rows-000000.log      rows committed since base-000000, one binary
+                           record per commit; MANIFEST.json holds the
+                           committed length (row_log_bytes)
 
 Writes follow a strict order so a crash at *any* point leaves a readable
-catalog: segment files land under their final names via temp +
-``os.replace`` first, and only then does an atomic manifest rewrite commit
-them.  A segment the manifest never learned about is an orphan — ignored
-by readers, reaped by the next :meth:`IndexCatalog.compact`.  The edge log
-is appended **before** the similarity state changes, so after a crash the
+catalog: data lands first — a base segment under its final name via temp +
+``os.replace``, a row record appended to the log and fsync'd — and only
+then does an atomic manifest rewrite commit it.  A base directory the
+manifest never learned about is an orphan, and log bytes past
+``row_log_bytes`` are an uncommitted tail: readers ignore both, the next
+append truncates the tail and the next :meth:`IndexCatalog.compact` reaps
+orphans.  Catalogs written before the row log carry a ``deltas`` list of
+``delta-NNNNNN.npz`` files instead; they restore and take new commits
+unchanged, and compaction folds both into one base.  The edge log is
+appended **before** the similarity state changes, so after a crash the
 log is ahead of (never behind) the persisted rows; restore replays it and
 marks rows whose last mutation outruns their stored version as dirty —
 they lazily recompute, which is what makes kill-and-restart answers
@@ -38,15 +44,15 @@ from .manifest import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     CatalogManifest,
-    DeltaRecord,
     graph_fingerprint,
     index_config_digest,
 )
 from .segments import (
+    append_row_record,
     open_base_segment,
     read_delta_segment,
+    read_row_log,
     write_base_segment,
-    write_delta_segment,
 )
 
 __all__ = ["IndexCatalog", "RestoredState"]
@@ -62,10 +68,10 @@ class RestoredState:
     ----------
     store:
         The similarity index — memory-mapped base with every committed
-        delta already spliced in.
+        row already spliced in.
     row_versions:
         Per-row graph version of the stored scores (base stamp, overridden
-        by the newest delta covering the row).
+        by the newest commit covering the row).
     edge_ops:
         The full replayed edge log as ``(op, source, target, version)``
         tuples, in append order — the caller rebuilds its edge overlay
@@ -91,7 +97,7 @@ class IndexCatalog:
 
     Create one with :meth:`create` (persisting a freshly built index) or
     :meth:`open` (attaching to an existing directory); the handle then
-    mediates every durable operation — edge-log appends, delta commits,
+    mediates every durable operation — edge-log appends, row commits,
     compaction, restore.  The handle assumes a single writer (the serving
     process owns its catalog); readers can open concurrently.
     """
@@ -99,7 +105,6 @@ class IndexCatalog:
     def __init__(self, directory: Path, manifest: CatalogManifest) -> None:
         self.directory = Path(directory)
         self.manifest = manifest
-        self._next_delta_id = self._scan_next_delta_id()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -208,9 +213,10 @@ class IndexCatalog:
         ``graph`` must be the graph the base was built on — the edge log
         replays the mutations since, so the caller starts from the same
         point the original server did.  The base opens memory-mapped
-        (unless ``mmap=False``); committed deltas are spliced in through
-        the store's sparse merge path, which copies-on-write exactly once
-        if any delta exists.
+        (unless ``mmap=False``); the committed rows — legacy delta files
+        and row-log records, the newest commit per row winning — splice in
+        with one :meth:`~repro.core.similarity_store.SimilarityStore.
+        merge_row_parts` call, which never writes to the mapped base.
         """
         self.validate(graph)
         matrix, row_versions = open_base_segment(
@@ -234,11 +240,13 @@ class IndexCatalog:
                 "config_digest": self.manifest.config_digest,
             },
         )
-        for record in self.manifest.deltas:
-            delta = read_delta_segment(self.directory / record.file)
-            if delta.rows.size:
-                store.merge_row_parts(delta.rows.tolist(), delta.parts())
-                row_versions[delta.rows] = delta.version
+        committed, _ = self._committed_rows()
+        if committed:
+            rows = list(committed)
+            store.merge_row_parts(
+                rows, [(columns, values) for columns, values, _ in committed.values()]
+            )
+            row_versions[rows] = [version for _, _, version in committed.values()]
         edge_ops = self.read_edge_log()
         log_version = max(
             (version for _, _, _, version in edge_ops),
@@ -312,62 +320,49 @@ class IndexCatalog:
         rows,
         parts: list[tuple[np.ndarray, np.ndarray]],
     ) -> Path:
-        """Commit one delta segment of refreshed rows at ``version``.
+        """Commit refreshed rows at ``version`` as one row-log record.
 
-        The ``.npz`` lands under its final name first (temp + replace),
-        then the manifest rewrite commits it; a crash in between leaves an
-        orphan file that readers ignore.
+        The record is appended at the committed end of the row log and
+        fsync'd, then the manifest rewrite commits the log's new length.
+        A crash in between leaves bytes past ``row_log_bytes``: restore
+        ignores them and this method truncates them on its next call.
+        Returns the row log's path.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        name = f"delta-{self._next_delta_id:06d}.npz"
-        path = self.directory / name
-        write_delta_segment(path, version, rows, parts)
-        self._next_delta_id += 1
-        self.manifest.deltas.append(
-            DeltaRecord(file=name, version=int(version), rows=int(rows.size))
+        manifest = self.manifest
+        path = self.directory / manifest.row_log_name
+        manifest.row_log_bytes = append_row_record(
+            path, manifest.row_log_bytes, version, rows, parts
         )
-        self.manifest.graph_version = max(
-            self.manifest.graph_version, int(version)
-        )
-        self.manifest.write(self.directory)
+        manifest.graph_version = max(manifest.graph_version, int(version))
+        manifest.write(self.directory)
         return path
 
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
     def compact(self, memory_budget: Optional[int] = None) -> int:
-        """Merge-stream every committed delta into a new base generation.
+        """Merge-stream every committed row into a new base generation.
 
         Rows flow through the same
         :class:`~repro.service.spill.RowSpillAccumulator` the offline
         build uses (``memory_budget`` bounds the resident set), the newest
-        delta per row winning over the base.  The new ``base-{g+1}``
+        commit per row winning over the base.  The new ``base-{g+1}``
         directory is written first; the manifest rewrite (new generation,
-        empty delta list) is the commit point; only then are the old base,
-        consumed deltas and any orphans removed.  Returns the number of
-        delta segments folded in.
+        no deltas, an empty row log) is the commit point; only then are
+        the old base, its row log, legacy delta files and any orphans
+        removed.  Returns the number of commits folded in.
         """
         # Deferred import: service.index imports spill alongside machinery
         # that (transitively) serves from this package.
         from ..service.spill import RowSpillAccumulator
 
         manifest = self.manifest
-        folded = len(manifest.deltas)
+        fresh, folded = self._committed_rows()
         matrix, row_versions = open_base_segment(
             self.directory / manifest.base_name, mmap=True
         )
         n = matrix.shape[0]
-
-        # Latest delta per row wins; deltas are committed in version order.
-        fresh: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        for record in manifest.deltas:
-            delta = read_delta_segment(self.directory / record.file)
-            for row, (columns, values) in zip(delta.rows.tolist(), delta.parts()):
-                fresh[int(row)] = (columns, values, delta.version)
-
-        new_base = manifest.base_name
         next_generation = manifest.base_generation + 1
-        new_base = f"base-{next_generation:06d}"
         with RowSpillAccumulator(memory_budget=memory_budget) as accumulator:
             for row in range(n):
                 if row in fresh:
@@ -382,49 +377,56 @@ class IndexCatalog:
                     )
             merged = accumulator.finish(n)
 
-        old_base = self.directory / manifest.base_name
-        write_base_segment(self.directory / new_base, merged, row_versions)
+        write_base_segment(
+            self.directory / f"base-{next_generation:06d}", merged, row_versions
+        )
         manifest.base_generation = next_generation
+        manifest.row_log_bytes = 0
         manifest.deltas = []
         manifest.write(self.directory)  # commit point
 
         # Post-commit cleanup; stray files here are cosmetic, never state.
-        self._remove_tree(old_base)
         self._reap_orphans()
-        self._next_delta_id = self._scan_next_delta_id()
         return folded
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _scan_next_delta_id(self) -> int:
-        """First delta id no committed record or orphan file occupies."""
-        used = [-1]
-        for record in self.manifest.deltas:
-            stem = Path(record.file).stem
-            if stem.startswith("delta-"):
-                try:
-                    used.append(int(stem.split("-", 1)[1]))
-                except ValueError:
-                    pass
-        for path in self.directory.glob("delta-*.npz"):
-            try:
-                used.append(int(path.stem.split("-", 1)[1]))
-            except ValueError:
-                continue
-        return max(used) + 1
+    def _committed_rows(
+        self,
+    ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, int]], int]:
+        """The newest committed ``(columns, values, version)`` per row.
+
+        Legacy delta files come before the row log's records — the log
+        only receives commits made after them — and a later commit of a
+        row replaces an earlier one.  Also returns the number of commits.
+        """
+        manifest = self.manifest
+        commits = [
+            read_delta_segment(self.directory / record.file)
+            for record in manifest.deltas
+        ]
+        commits += read_row_log(
+            self.directory / manifest.row_log_name, manifest.row_log_bytes
+        )
+        newest: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        for commit in commits:
+            for row, (columns, values) in zip(commit.rows.tolist(), commit.parts()):
+                newest[row] = (columns, values, commit.version)
+        return newest, len(commits)
 
     def _reap_orphans(self) -> None:
         """Remove segment files the committed manifest does not reference."""
-        live = {self.manifest.base_name} | {
+        live = {self.manifest.base_name, self.manifest.row_log_name} | {
             record.file for record in self.manifest.deltas
         }
         for path in self.directory.glob("base-*"):
             if path.is_dir() and path.name not in live:
                 self._remove_tree(path)
-        for path in self.directory.glob("delta-*.npz"):
-            if path.name not in live:
-                path.unlink(missing_ok=True)
+        for pattern in ("rows-*.log", "delta-*.npz"):
+            for path in self.directory.glob(pattern):
+                if path.name not in live:
+                    path.unlink(missing_ok=True)
 
     @staticmethod
     def _remove_tree(path: Path) -> None:

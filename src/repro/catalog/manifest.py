@@ -1,12 +1,17 @@
 """Catalog manifest: the single JSON record that *is* the commit point.
 
-A durable index catalog is a directory of immutable segment files plus one
-mutable ``MANIFEST.json``.  Every state transition — creating the catalog,
-appending a delta segment, compacting deltas into a new base — ends with an
-atomic rewrite of the manifest (temp file + ``os.replace``), so a reader
-always sees either the previous committed state or the next one, never a
-half-written mix.  Segment files not referenced by the manifest are orphans
-from an interrupted writer and are ignored (and reaped by compaction).
+A durable index catalog is a directory of immutable base segments, an
+append-only row log, and one mutable ``MANIFEST.json``.  Every state
+transition — creating the catalog, committing refreshed rows, compacting
+them into a new base — ends with an atomic rewrite of the manifest (temp
+file + ``os.replace``), so a reader always sees either the previous
+committed state or the next one, never a half-written mix.  A row commit
+appends its record to the log first and then rewrites the manifest with
+the log's new committed length (``row_log_bytes``), so the manifest stays
+one fixed-size block however many commits land.  Log bytes past that
+length and segment files the manifest does not reference are left behind
+by an interrupted writer: readers ignore them and the next append or
+compaction removes them.
 
 The manifest also carries the catalog's *identity*: a fingerprint of the
 graph the index was built on and a digest of the engine parameters that
@@ -42,6 +47,11 @@ interpret; readers reject manifests *newer* than they understand and keep
 reading older ones (see CONTRIBUTING for the compatibility policy)."""
 
 MANIFEST_NAME = "MANIFEST.json"
+
+MANIFEST_BLOCK = 512
+"""The manifest is padded with trailing whitespace to whole blocks of this
+many bytes — one block for a catalog without legacy deltas — so every
+commit rewrites a file of the same size."""
 
 
 def graph_fingerprint(graph) -> str:
@@ -83,7 +93,7 @@ def index_config_digest(damping: float, iterations: int, index_k: int) -> str:
 
 @dataclass
 class DeltaRecord:
-    """One committed delta segment: which file, which graph version, how many rows."""
+    """One legacy delta segment: which file, which graph version, how many rows."""
 
     file: str
     version: int
@@ -120,16 +130,22 @@ class CatalogManifest:
     num_vertices:
         Vertex count of the indexed graph.
     graph_version:
-        Mutation counter of the graph state the committed segments cover:
-        0 for a fresh base, and the version stamp of the newest committed
-        delta afterwards.  Edge-log entries beyond it are operations whose
+        Mutation counter of the graph state the committed rows cover: 0
+        for a fresh base, and the version stamp of the newest committed
+        rows afterwards.  Edge-log entries beyond it are operations whose
         refreshed rows were not yet persisted when the writer stopped.
     base_generation:
         Monotone counter naming the current base directory
-        (``base-{generation:06d}``); compaction writes generation ``g+1``
-        and only then retires generation ``g``.
+        (``base-{generation:06d}``) and its row log
+        (``rows-{generation:06d}.log``); compaction writes generation
+        ``g+1`` and only then retires generation ``g``.
+    row_log_bytes:
+        Committed length of the row log.  Optional (0 when absent), so
+        catalogs written before the row log keep opening.
     deltas:
-        Committed delta segments, in append (= version) order.
+        Legacy delta segments committed before the row log existed, in
+        commit order.  Nothing appends to it any more; compaction folds
+        it away.
     """
 
     format_version: int
@@ -142,12 +158,18 @@ class CatalogManifest:
     num_vertices: int
     graph_version: int = 0
     base_generation: int = 0
+    row_log_bytes: int = 0
     deltas: list[DeltaRecord] = field(default_factory=list)
 
     @property
     def base_name(self) -> str:
         """Directory name of the current base segment."""
         return f"base-{self.base_generation:06d}"
+
+    @property
+    def row_log_name(self) -> str:
+        """File name of the current base generation's row log."""
+        return f"rows-{self.base_generation:06d}.log"
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -161,6 +183,7 @@ class CatalogManifest:
             "num_vertices": int(self.num_vertices),
             "graph_version": int(self.graph_version),
             "base_generation": int(self.base_generation),
+            "row_log_bytes": int(self.row_log_bytes),
             "deltas": [delta.to_json() for delta in self.deltas],
         }
 
@@ -190,6 +213,7 @@ class CatalogManifest:
                 num_vertices=int(payload["num_vertices"]),  # type: ignore[arg-type]
                 graph_version=int(payload.get("graph_version", 0)),  # type: ignore[arg-type]
                 base_generation=int(payload.get("base_generation", 0)),  # type: ignore[arg-type]
+                row_log_bytes=int(payload.get("row_log_bytes", 0)),  # type: ignore[arg-type]
                 deltas=[
                     DeltaRecord.from_json(delta)
                     for delta in payload.get("deltas", [])  # type: ignore[union-attr]
@@ -208,7 +232,9 @@ class CatalogManifest:
         intact, a crash after leaves the new one — never a torn file.
         """
         path = Path(directory) / MANIFEST_NAME
-        payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(self.to_json(), indent=2, sort_keys=True)
+        # json.dumps escapes non-ASCII, so characters are bytes here.
+        payload += " " * (-(len(payload) + 1) % MANIFEST_BLOCK) + "\n"
         descriptor, temp_name = tempfile.mkstemp(
             prefix=MANIFEST_NAME + ".", dir=str(directory)
         )

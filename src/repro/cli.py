@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "which figure/table to regenerate ('all' runs every one); "
             "'index-build' precomputes a serving index, 'compact' folds a "
-            "durable catalog's delta segments into a new base, "
+            "durable catalog's committed rows into a new base, "
             "'serve-bench' runs "
             "the serving tier benchmark (--remote for the network tier), "
             "'serve' runs a similarity server in the foreground, 'metrics' "
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "durable index catalog directory: index-build commits the "
             "built index there, serve warm-starts from it without a "
-            "rebuild, and compact folds its delta segments into a new base"
+            "rebuild, and compact folds its committed rows into a new base"
         ),
     )
     serving_options.add_argument(
@@ -593,7 +593,7 @@ def _index_build(args: argparse.Namespace) -> int:
 
 
 def _compact(args: argparse.Namespace) -> int:
-    """Fold a catalog's committed delta segments into a new base generation."""
+    """Fold a catalog's committed rows into a new base generation."""
     from .catalog import IndexCatalog
 
     if args.catalog is None:
@@ -608,7 +608,7 @@ def _compact(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     manifest = catalog.manifest
     print(
-        f"compacted {folded} delta segment(s) into {manifest.base_name} in "
+        f"compacted {folded} commit(s) into {manifest.base_name} in "
         f"{elapsed:.2f}s (graph version {manifest.graph_version}, "
         f"n={manifest.num_vertices}, index_k={manifest.index_k})"
     )

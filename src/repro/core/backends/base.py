@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, ClassVar, Optional
 
 import numpy as np
@@ -68,6 +69,16 @@ class TransitionOperator:
     matrix: Any
     n: int
     nnz: int
+
+    @cached_property
+    def transpose(self) -> Any:
+        """``Wᵀ`` in the operator's format, built on first use and kept.
+
+        Batched queries walk ``Wᵀ`` on every call, so a served graph
+        version pays for the CSR transpose once, not once per query batch.
+        """
+        transposed = self.matrix.T
+        return transposed.tocsr() if hasattr(transposed, "tocsr") else transposed
 
 
 class SimRankBackend(abc.ABC):
@@ -152,7 +163,7 @@ class SimRankBackend(abc.ABC):
         """
         indices = np.asarray(indices, dtype=np.int64).ravel()
         operator = transition.matrix
-        operator_t = self._transpose(operator)
+        operator_t = transition.transpose
         n = transition.n
         batch = indices.size
 
@@ -174,13 +185,6 @@ class SimRankBackend(abc.ABC):
             )
             instrumentation.memory.allocate((iterations + 1) * n * batch)
         return rows
-
-    @staticmethod
-    def _transpose(operator):
-        transposed = operator.T
-        if hasattr(transposed, "tocsr"):
-            transposed = transposed.tocsr()
-        return transposed
 
 
 BACKENDS: dict[str, SimRankBackend] = {}

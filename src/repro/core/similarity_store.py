@@ -364,33 +364,38 @@ class SimilarityStore:
         """Replace rows with already-truncated ``(columns, values)`` parts.
 
         The sparse-input sibling of :meth:`merge_rows` — the durable
-        catalog's delta replay splices persisted truncated rows straight
-        in without densifying them first.  Each part must follow the
-        :func:`row_top_k` convention (ascending columns, diagonal
-        excluded).
+        catalog's restore splices persisted truncated rows straight in
+        without densifying them first.  Each part must follow the
+        :func:`row_top_k` convention: strictly ascending columns (a
+        repeated column is rejected, never summed), diagonal excluded.
+        Explicit zeros are dropped.
+
+        The new CSR is a splice: the runs of untouched rows between the
+        replaced ones are copied over unchanged and the parts inserted
+        between them, so a merge costs one copy of the stored arrays plus
+        the parts — never a rebuild — and a memory-mapped base is only
+        ever read.
         """
         indices = self._validate_rows(rows)
         if len(parts) != indices.size:
             raise ConfigurationError(
                 f"expected {indices.size} row parts, got {len(parts)}"
             )
-        if indices.size != np.unique(indices).size:
+        order = np.argsort(indices, kind="stable")
+        ordered = indices[order]
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ConfigurationError("rows to merge must be distinct")
 
-        # Keep the untouched rows' entries, re-emit the replaced rows, and
-        # rebuild the CSR once from COO parts — no per-row matrix surgery.
-        lengths = np.diff(self._matrix.indptr)
-        replaced = np.zeros(self.num_vertices, dtype=bool)
-        replaced[indices] = True
-        keep = ~np.repeat(replaced, lengths)
-        kept_rows = np.repeat(np.arange(self.num_vertices), lengths)[keep]
-        kept_cols = self._matrix.indices[keep]
-        kept_data = self._matrix.data[keep]
-
-        new_rows: list[np.ndarray] = [kept_rows]
-        new_cols: list[np.ndarray] = [np.asarray(kept_cols, dtype=np.int64)]
-        new_data: list[np.ndarray] = [kept_data]
-        for row_index, (columns, values) in zip(indices, parts):
+        matrix = self._matrix
+        n = self.num_vertices
+        indptr = np.asarray(matrix.indptr)
+        lengths = np.diff(indptr)
+        column_runs: list[np.ndarray] = []
+        value_runs: list[np.ndarray] = []
+        cursor = 0
+        for position in order.tolist():
+            row_index = int(indices[position])
+            columns, values = parts[position]
             columns = np.asarray(columns, dtype=np.int64).ravel()
             values = np.asarray(values, dtype=np.float64).ravel()
             if columns.size != values.size:
@@ -398,26 +403,44 @@ class SimilarityStore:
                     f"row part for row {row_index} has {columns.size} columns "
                     f"but {values.size} values"
                 )
-            if columns.size and (
-                columns.min() < 0 or columns.max() >= self.num_vertices
-            ):
+            if np.any(columns[1:] <= columns[:-1]):
+                raise ConfigurationError(
+                    f"row part for row {row_index} has columns that are not "
+                    "strictly ascending"
+                )
+            if columns.size and (columns[0] < 0 or columns[-1] >= n):
                 raise ConfigurationError(
                     f"row part for row {row_index} names columns outside "
-                    f"[0, {self.num_vertices})"
+                    f"[0, {n})"
                 )
-            new_rows.append(np.full(columns.size, row_index, dtype=np.int64))
-            new_cols.append(columns)
-            new_data.append(values)
+            if not values.all():
+                nonzero = values != 0.0
+                columns, values = columns[nonzero], values[nonzero]
+            start = int(indptr[row_index])
+            column_runs += [
+                matrix.indices[cursor:start],
+                columns.astype(matrix.indices.dtype, copy=False),
+            ]
+            value_runs += [matrix.data[cursor:start], values]
+            lengths[row_index] = columns.size
+            cursor = int(indptr[row_index + 1])
+        column_runs.append(matrix.indices[cursor:])
+        value_runs.append(matrix.data[cursor:])
 
-        merged = sparse.coo_matrix(
+        # int32 index arrays whenever they fit, as scipy would choose —
+        # handing it int64 makes the constructor scan and copy them.
+        nnz = int(lengths.sum(dtype=np.int64))
+        index_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+        new_indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(lengths, out=new_indptr[1:])
+        self._matrix = sparse.csr_matrix(
             (
-                np.concatenate(new_data),
-                (np.concatenate(new_rows), np.concatenate(new_cols)),
+                np.concatenate(value_runs),
+                np.concatenate(column_runs).astype(index_dtype, copy=False),
+                new_indptr,
             ),
-            shape=self._matrix.shape,
-        ).tocsr()
-        merged.eliminate_zeros()
-        self._matrix = merged
+            shape=matrix.shape,
+        )
 
     def _validate_rows(self, rows: Sequence[int]) -> np.ndarray:
         indices = np.asarray(list(rows), dtype=np.int64).ravel()

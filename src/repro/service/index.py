@@ -210,8 +210,8 @@ def load_index(
     additionally rejects an index built under different series parameters.
     Legacy ``.npz`` stores without the stamp keep loading (vertex-count
     check only), as do catalogs: when ``path`` is a catalog directory the
-    committed base is opened memory-mapped and every committed delta is
-    replayed, so the returned store is the catalog's newest state.
+    committed base is opened memory-mapped and every committed row is
+    spliced in, so the returned store is the catalog's newest state.
     """
     from ..catalog import IndexCatalog
 

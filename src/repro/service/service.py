@@ -304,12 +304,12 @@ class SimilarityService:
         ``graph`` must then be the *base* graph the catalog was built on:
         the service validates the catalog's graph fingerprint and config
         digest (:class:`~repro.exceptions.ConfigurationError` on
-        mismatch), opens the base segment memory-mapped, replays committed
-        delta segments and the edge log, and resumes at the logged
+        mismatch), opens the base segment memory-mapped, splices in the
+        committed rows, replays the edge log, and resumes at the logged
         version with exactly the pre-shutdown dirty set — answers are
         bit-identical to the process that wrote the catalog.  While
         attached, every edge mutation is durably logged and every index
-        merge is committed as a delta segment, so the service can be
+        merge is committed as a row-log record, so the service can be
         killed at any instant and restarted the same way.
     """
 
@@ -933,7 +933,7 @@ class SimilarityService:
                     request, ranking, "compute", version_before
                 )
                 fresh.setdefault(vertex, row)
-            share = (time.perf_counter() - compute_started) / len(misses)
+            write_back_started = time.perf_counter()
             with self._lock:
                 # Version gate: write computed answers back only when no
                 # mutation raced the computation (see class docstring).
@@ -946,8 +946,10 @@ class SimilarityService:
                         self._merge_fresh(
                             list(fresh), np.stack(list(fresh.values()))
                         )
+                write_back_ended = time.perf_counter()
                 # One flush (plus warm-back) served every miss; attribute the
                 # elapsed wall-clock evenly so tiers stay per-query comparable.
+                share = (write_back_ended - compute_started) / len(misses)
                 for _ in misses:
                     self.stats.record("compute", share)
             for position, request, vertex, k, started in misses:
@@ -968,8 +970,11 @@ class SimilarityService:
                         # ours ran; the kernel time lives in its trace.
                         batch_span.tag(coalesced=True)
                     batch_span.finish(batch_ended)
-                    tier_span.finish(batch_ended)
-                    trace.root.finish(batch_ended)
+                    tier_span.record(
+                        "write_back", write_back_started, write_back_ended
+                    )
+                    tier_span.finish(write_back_ended)
+                    trace.root.finish(write_back_ended)
                     tree = trace.to_tree()
                 self._observe_answer(
                     position, request, "compute", share, responses, tree
@@ -1223,8 +1228,8 @@ class SimilarityService:
 
         Caller holds the service lock and has already version-gated.  With
         a catalog attached the truncated rows are additionally committed
-        as a delta segment at the current version, so a restart replays
-        them instead of recomputing.
+        to its row log at the current version, so a restart replays them
+        instead of recomputing.
         """
         assert self._index is not None and self._row_version is not None
         vertices = list(vertices)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,12 @@ import pytest
 from repro.catalog import IndexCatalog, catalog_or_store_path
 from repro.catalog.catalog import EDGELOG_NAME
 from repro.catalog.manifest import MANIFEST_NAME
+from repro.catalog.segments import append_row_record, read_row_log
 from repro.core.similarity_store import SimilarityStore
 from repro.exceptions import ConfigurationError
 from repro.graph.generators.rmat import rmat_edge_list
+
+from legacy_layout import append_legacy_delta
 
 DAMPING = 0.6
 ITERATIONS = 20
@@ -165,27 +169,177 @@ class TestDeltas:
         assert np.array_equal(csr_row.data, second[0][1])
         assert state.row_versions[5] == 2
 
-    def test_delta_files_are_numbered_sequentially(self, catalog, catalog_graph):
+
+class TestRowLog:
+    def test_uncommitted_tail_is_ignored_then_overwritten(
+        self, catalog, catalog_graph
+    ):
         n = catalog_graph.num_vertices
-        catalog.append_delta(version=1, rows=[1], parts=_fresh_parts([1], n))
-        catalog.append_delta(version=2, rows=[2], parts=_fresh_parts([2], n))
-        assert [record.file for record in catalog.manifest.deltas] == [
+        first = _fresh_parts([4], n, seed=7)
+        catalog.append_delta(version=1, rows=[4], parts=first)
+        committed = catalog.manifest.row_log_bytes
+        log = catalog.directory / catalog.manifest.row_log_name
+        assert log.stat().st_size == committed
+
+        # A crash after the log fsync but before the manifest rewrite: a
+        # whole record sits past the committed length.
+        append_row_record(log, committed, 2, [9], _fresh_parts([9], n, seed=8))
+        assert log.stat().st_size > committed
+
+        reopened = IndexCatalog.open(catalog.directory)
+        assert reopened.manifest.row_log_bytes == committed
+        state = reopened.restore(catalog_graph)
+        assert state.graph_version == 1
+        assert state.row_versions[9] == 0
+        base = catalog.restore(catalog_graph, mmap=False)
+        assert np.array_equal(
+            state.store.matrix.getrow(9).toarray(), base.store.matrix.getrow(9).toarray()
+        )
+
+        third = _fresh_parts([11], n, seed=9)
+        reopened.append_delta(version=3, rows=[11], parts=third)
+        record_bytes = reopened.manifest.row_log_bytes - committed
+        assert log.stat().st_size == reopened.manifest.row_log_bytes
+        records = read_row_log(log, reopened.manifest.row_log_bytes)
+        assert [record.version for record in records] == [1, 3]
+        assert record_bytes == 8 * (3 + 2 + 2 * third[0][0].size)
+
+        state = IndexCatalog.open(catalog.directory).restore(catalog_graph)
+        assert state.row_versions[4] == 1 and state.row_versions[11] == 3
+        assert state.row_versions[9] == 0
+        for row, ((columns, values),) in ((4, first), (11, third)):
+            csr_row = state.store.matrix.getrow(row)
+            assert np.array_equal(csr_row.indices, columns)
+            assert np.array_equal(csr_row.data, values)
+
+    def test_manifest_size_is_fixed_and_no_delta_files_appear(
+        self, catalog, catalog_graph
+    ):
+        n = catalog_graph.num_vertices
+        manifest_path = catalog.directory / MANIFEST_NAME
+        catalog.append_delta(version=1, rows=[0], parts=_fresh_parts([0], n, seed=0))
+        after_one = manifest_path.stat().st_size
+        for commit in range(2, 51):
+            rows = [commit % n, (3 * commit) % n]
+            catalog.append_delta(
+                version=commit, rows=rows, parts=_fresh_parts(rows, n, seed=commit)
+            )
+        assert manifest_path.stat().st_size == after_one
+        assert catalog.manifest.deltas == []
+        assert not list(catalog.directory.glob("delta-*.npz"))
+        assert len(read_row_log(
+            catalog.directory / catalog.manifest.row_log_name,
+            catalog.manifest.row_log_bytes,
+        )) == 50
+
+    @pytest.mark.parametrize(
+        "cut",
+        [10, 24 + 8, -8],
+        ids=["header-past-end", "rows-past-end", "values-past-end"],
+    )
+    def test_committed_record_running_past_row_log_bytes_raises(
+        self, catalog, catalog_graph, cut
+    ):
+        n = catalog_graph.num_vertices
+        catalog.append_delta(version=1, rows=[1], parts=_fresh_parts([1], n, seed=1))
+        first = catalog.manifest.row_log_bytes
+        catalog.append_delta(version=2, rows=[2], parts=_fresh_parts([2], n, seed=2))
+        # A manifest whose committed length ends inside the second record.
+        catalog.manifest.row_log_bytes = (
+            first + cut if cut > 0 else catalog.manifest.row_log_bytes + cut
+        )
+        catalog.manifest.write(catalog.directory)
+        with pytest.raises(ConfigurationError, match="runs past"):
+            IndexCatalog.open(catalog.directory).restore(catalog_graph)
+
+    def test_log_shorter_than_committed_raises(self, catalog, catalog_graph):
+        n = catalog_graph.num_vertices
+        catalog.append_delta(version=1, rows=[1], parts=_fresh_parts([1], n, seed=1))
+        log = catalog.directory / catalog.manifest.row_log_name
+        with open(log, "r+b") as handle:
+            handle.truncate(catalog.manifest.row_log_bytes - 8)
+        with pytest.raises(ConfigurationError, match="fewer than"):
+            catalog.restore(catalog_graph)
+        with pytest.raises(ConfigurationError, match="fewer than"):
+            catalog.append_delta(
+                version=2, rows=[2], parts=_fresh_parts([2], n, seed=2)
+            )
+
+    def test_mismatched_parts_rejected(self, catalog):
+        columns = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="carries 1 parts"):
+            catalog.append_delta(version=1, rows=[3, 4], parts=[(columns, columns)])
+        with pytest.raises(ConfigurationError, match="row 3"):
+            catalog.append_delta(
+                version=1, rows=[3], parts=[(columns, np.array([0.5]))]
+            )
+        assert catalog.manifest.row_log_bytes == 0
+
+
+class TestLegacyLayout:
+    """Catalogs written before the row log: ``deltas`` and no ``row_log_bytes``."""
+
+    @staticmethod
+    def _legacy_catalog(catalog, n):
+        commits = [
+            (2, [3, 17, 40], _fresh_parts([3, 17, 40], n, seed=4)),
+            (3, [17], _fresh_parts([17], n, seed=5)),
+        ]
+        for version, rows, parts in commits:
+            append_legacy_delta(catalog, version, rows, parts)
+        payload = json.loads((catalog.directory / MANIFEST_NAME).read_text())
+        assert "row_log_bytes" not in payload and len(payload["deltas"]) == 2
+        return commits
+
+    @staticmethod
+    def _assert_rows(store, base, commits):
+        """Each row holds the newest commit's part, else the base row."""
+        expected = {
+            row: (base.indices[base.indptr[row] : base.indptr[row + 1]],
+                  base.data[base.indptr[row] : base.indptr[row + 1]])
+            for row in range(base.shape[0])
+        }
+        for _, commit_rows, parts in commits:
+            expected.update(zip(commit_rows, parts))
+        for row, (columns, values) in expected.items():
+            csr_row = store.matrix.getrow(row)
+            assert np.array_equal(csr_row.indices, columns), row
+            assert np.array_equal(csr_row.data, values), row
+
+    def test_old_layout_opens_takes_commits_and_compacts(
+        self, catalog, catalog_graph, catalog_index
+    ):
+        n = catalog_graph.num_vertices
+        commits = self._legacy_catalog(catalog, n)
+
+        legacy = IndexCatalog.open(catalog.directory)
+        assert legacy.manifest.row_log_bytes == 0
+        state = legacy.restore(catalog_graph)
+        self._assert_rows(state.store, catalog_index.matrix, commits)
+        assert state.graph_version == 3
+        assert state.row_versions[3] == 2 and state.row_versions[17] == 3
+
+        # New commits go to the row log; the legacy deltas stay committed.
+        newer = (4, [17, 5], _fresh_parts([17, 5], n, seed=6))
+        legacy.append_delta(*newer)
+        commits.append(newer)
+        assert [record.file for record in legacy.manifest.deltas] == [
             "delta-000000.npz", "delta-000001.npz",
         ]
+        assert legacy.manifest.row_log_bytes > 0
+        before = IndexCatalog.open(catalog.directory).restore(catalog_graph)
+        self._assert_rows(before.store, catalog_index.matrix, commits)
+        assert before.row_versions[17] == 4 and before.row_versions[3] == 2
 
-    def test_orphan_delta_is_ignored_and_never_reused(self, catalog, catalog_graph):
-        n = catalog_graph.num_vertices
-        catalog.append_delta(version=1, rows=[1], parts=_fresh_parts([1], n))
-        # Simulate a crash after the segment write but before the manifest
-        # commit: a delta file exists that no manifest record references.
-        orphan = catalog.directory / "delta-000001.npz"
-        orphan.write_bytes(b"half-written garbage")
-        reopened = IndexCatalog.open(catalog.directory)
-        state = reopened.restore(catalog_graph)  # orphan never read
-        assert state.graph_version == 1
-        # The next committed delta must not claim the orphan's name.
-        reopened.append_delta(version=2, rows=[2], parts=_fresh_parts([2], n))
-        assert reopened.manifest.deltas[-1].file == "delta-000002.npz"
+        assert legacy.compact() == 3
+        assert legacy.manifest.deltas == []
+        assert legacy.manifest.row_log_bytes == 0
+        names = sorted(p.name for p in catalog.directory.iterdir())
+        assert names == [EDGELOG_NAME, MANIFEST_NAME, "base-000001"]
+        after = IndexCatalog.open(catalog.directory).restore(catalog_graph)
+        assert (after.store.matrix != before.store.matrix).nnz == 0
+        self._assert_rows(after.store, catalog_index.matrix, commits)
+        assert np.array_equal(after.row_versions, before.row_versions)
 
 
 class TestEdgeLog:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.catalog.manifest import (
     FORMAT_VERSION,
+    MANIFEST_BLOCK,
     MANIFEST_NAME,
     CatalogManifest,
     DeltaRecord,
@@ -103,6 +104,35 @@ class TestManifestRoundTrip:
     def test_base_name_tracks_generation(self):
         assert _manifest(base_generation=0).base_name == "base-000000"
         assert _manifest(base_generation=7).base_name == "base-000007"
+
+    def test_row_log_is_named_by_generation_and_its_length_is_optional(self):
+        manifest = _manifest(base_generation=7, row_log_bytes=840)
+        assert manifest.row_log_name == "rows-000007.log"
+        assert CatalogManifest.from_json(manifest.to_json()) == manifest
+        # Manifests written before the row log carry no row_log_bytes.
+        payload = manifest.to_json()
+        del payload["row_log_bytes"]
+        assert CatalogManifest.from_json(payload).row_log_bytes == 0
+
+    def test_written_manifest_fills_whole_blocks(self, tmp_path):
+        path = tmp_path / MANIFEST_NAME
+        small = _manifest(deltas=[])
+        small.write(tmp_path)
+        assert path.stat().st_size == MANIFEST_BLOCK
+        small.graph_version, small.row_log_bytes = 10**9, 10**12
+        small.write(tmp_path)
+        assert path.stat().st_size == MANIFEST_BLOCK
+        assert CatalogManifest.read(tmp_path) == small
+        large = _manifest(
+            deltas=[
+                DeltaRecord(file=f"delta-{i:06d}.npz", version=i, rows=1)
+                for i in range(100)
+            ]
+        )
+        large.write(tmp_path)
+        assert path.stat().st_size % MANIFEST_BLOCK == 0
+        assert path.stat().st_size > MANIFEST_BLOCK
+        assert CatalogManifest.read(tmp_path) == large
 
 
 class TestManifestRejection:

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.catalog import IndexCatalog
-from repro.service import SimilarityService, build_index
+from repro.service import QueryRequest, SimilarityService, build_index
 
 DAMPING = 0.6
 ITERATIONS = 20
@@ -44,7 +44,7 @@ def _novel_edges(graph, count):
     raise AssertionError("graph is complete")
 
 
-def _service(graph, *, catalog=None, index=None):
+def _service(graph, *, catalog=None, index=None, auto_warm=False):
     return SimilarityService(
         graph,
         index=index,
@@ -54,7 +54,7 @@ def _service(graph, *, catalog=None, index=None):
         iterations=ITERATIONS,
         cache_size=0,
         workers=1,
-        auto_warm=False,
+        auto_warm=auto_warm,
     )
 
 
@@ -122,13 +122,40 @@ class TestAbandonAndRestore:
         (edge,) = _novel_edges(catalog_graph, 1)
         assert live.add_edge(*edge)
         live.refresh()
-        assert catalog.manifest.deltas  # refresh really committed a delta
+        assert catalog.manifest.row_log_bytes > 0  # refresh really committed rows
         catalog.compact()
 
         restored = _service(
             catalog_graph, catalog=IndexCatalog.open(tmp_path / "catalog")
         )
         _assert_bit_identical(restored, live, catalog_graph.num_vertices)
+
+    def test_compute_tier_commits_restore_as_index_hits(
+        self, tmp_path, catalog_graph, catalog_index
+    ):
+        # auto_warm commits every compute-tier row to the catalog; after an
+        # abandoned process those rows must come back fresh, not recompute.
+        catalog = IndexCatalog.create(tmp_path / "catalog", catalog_index)
+        live = _service(catalog_graph, catalog=catalog, auto_warm=True)
+        (edge,) = _novel_edges(catalog_graph, 1)
+        assert live.add_edge(*edge)
+        reads = list(range(20))
+        for query in reads:
+            assert live.query(QueryRequest(query=query)).tier == "compute"
+
+        restored = _service(
+            catalog_graph,
+            catalog=IndexCatalog.open(tmp_path / "catalog"),
+            auto_warm=True,
+        )
+        oracle = _oracle(restored.current_graph())
+        for query in reads:
+            response = restored.query(QueryRequest(query=query))
+            assert response.tier == "index", query
+            expected = oracle.top_k(query)
+            assert [label for label, _ in response.entries] == expected.labels()
+            assert [score for _, score in response.entries] == expected.scores()
+        _assert_bit_identical(restored, oracle, catalog_graph.num_vertices)
 
 
 CHILD_SCRIPT = textwrap.dedent(

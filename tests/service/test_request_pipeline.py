@@ -10,6 +10,7 @@ exception types from the adapters, and typed codes from the new API.
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
@@ -169,3 +170,54 @@ class TestDeprecatedAdapters:
             service.top_k(0, k="not-a-number")
         with pytest.raises(ConfigurationError):
             service.top_k(0, k=-3)
+
+
+def _find_span(tree, name):
+    if tree.get("name") == name:
+        return tree
+    for child in tree.get("children", []) or []:
+        found = _find_span(child, name)
+        if found is not None:
+            return found
+    return None
+
+
+class TestComputeTierLatency:
+    def test_recorded_latency_covers_the_catalog_write_back(
+        self, served_graph, tmp_path, monkeypatch
+    ):
+        from repro.catalog import IndexCatalog
+
+        index = build_index(
+            served_graph, index_k=20, damping=DAMPING, iterations=ITERATIONS
+        )
+        catalog = IndexCatalog.create(tmp_path / "catalog", index)
+        service = SimilarityService(
+            served_graph, catalog=catalog, damping=DAMPING,
+            iterations=ITERATIONS, cache_size=0, workers=1, auto_warm=True,
+        )
+        append_delta = IndexCatalog.append_delta
+
+        def slow_append_delta(self, *args, **kwargs):
+            time.sleep(0.020)
+            return append_delta(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexCatalog, "append_delta", slow_append_delta)
+        existing = set(served_graph.edges())
+        edge = next(
+            (0, target) for target in range(1, served_graph.num_vertices)
+            if (0, target) not in existing
+        )
+        assert service.add_edge(*edge)  # stales every row: reads compute
+
+        response = service.query(QueryRequest(query=5, k=5, trace=True))
+        assert response.tier == "compute"
+        (recorded,) = service.stats.samples("compute")
+        assert recorded > 0.020
+        assert service.slow_queries.snapshot()[0]["duration_ms"] > 20.0
+        tier = _find_span(response.trace, "tier:compute")
+        assert tier["duration_ms"] > 20.0
+        assert [child["name"] for child in tier["children"]] == [
+            "batcher", "write_back",
+        ]
+        assert tier["children"][1]["duration_ms"] > 20.0
