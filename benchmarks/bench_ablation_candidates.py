@@ -1,8 +1,8 @@
 """Ablation — candidate-edge strategies for DMST-Reduce.
 
 Compares the paper's exhaustive all-pairs transition-cost construction with
-the pruned common-neighbour construction: the pruned build should be much
-faster while producing a plan of (nearly) the same quality.
+the pruned common-neighbour construction: the pruned build should keep far
+fewer candidate edges while producing a plan of (nearly) the same quality.
 """
 
 from __future__ import annotations

@@ -7,8 +7,13 @@ This is the paper's procedure of the same name (Section III-C):
    :class:`~repro.core.neighbor_index.InNeighborIndex`);
 2. build a weighted digraph ``G*`` whose vertices are those sets plus a root
    ``∅``, with edge weights given by the transition cost of Eq. 7;
-3. compute a directed minimum spanning tree (arborescence) of ``G*`` rooted
-   at ``∅`` with Chu-Liu/Edmonds;
+3. take the directed minimum spanning tree (arborescence) of ``G*`` rooted
+   at ``∅``: each set's cheapest incoming edge, since ``G*`` is a DAG.
+   Every candidate edge goes up the (size, id) order, so the per-set minima
+   already form a tree and Chu-Liu/Edmonds' cycle contraction would never
+   run.  Ties go to the first edge in the order Edmonds scans them: the root
+   edge, then the candidates in rank order.
+   ``tests/core/test_dmst_parity.py`` checks this against Edmonds;
 4. turn the tree into a :class:`~repro.core.plans.SharingPlan`: a traversal
    order plus, for every set, either a "from scratch" instruction or the
    symmetric-difference delta against its tree parent.
@@ -18,21 +23,22 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graph.digraph import DiGraph
-from ..mst.edmonds import minimum_spanning_arborescence
-from .instrumentation import Instrumentation
-from .neighbor_index import InNeighborIndex, generate_candidate_edges
-from .plans import ROOT, PlanNode, SharingPlan
-from .transition_cost import is_sharing_profitable, split_delta
+import numpy as np
 
-__all__ = ["dmst_reduce", "build_sharing_plan"]
+from ..exceptions import ConfigurationError
+from ..graph.digraph import DiGraph
+from .instrumentation import Instrumentation
+from .neighbor_index import InNeighborIndex, candidate_blocks
+from .plans import ROOT, PlanNode, SharingPlan
+from .transition_cost import split_delta
+
+__all__ = ["dmst_reduce", "build_sharing_plan", "check_plan"]
 
 
 def dmst_reduce(
     graph: DiGraph,
     candidate_strategy: str = "common-neighbor",
     max_candidates_per_set: int = 16,
-    max_posting_length: Optional[int] = 256,
     instrumentation: Optional[Instrumentation] = None,
 ) -> SharingPlan:
     """Run ``DMST-Reduce`` on ``graph`` and return the sharing plan.
@@ -45,8 +51,8 @@ def dmst_reduce(
         ``"common-neighbor"`` (pruned, default) or ``"exhaustive"`` (the
         paper's all-pairs construction).  Both yield a valid plan; they may
         differ only in how good the chosen tree is.
-    max_candidates_per_set, max_posting_length:
-        Pruning knobs of the common-neighbour strategy (see
+    max_candidates_per_set:
+        Pruning knob of the common-neighbour strategy (see
         :func:`~repro.core.neighbor_index.generate_candidate_edges`).
     instrumentation:
         Optional measurement bundle; the build is recorded under the
@@ -59,7 +65,6 @@ def dmst_reduce(
             index,
             candidate_strategy=candidate_strategy,
             max_candidates_per_set=max_candidates_per_set,
-            max_posting_length=max_posting_length,
         )
     return plan
 
@@ -68,78 +73,60 @@ def build_sharing_plan(
     index: InNeighborIndex,
     candidate_strategy: str = "common-neighbor",
     max_candidates_per_set: int = 16,
-    max_posting_length: Optional[int] = 256,
 ) -> SharingPlan:
     """Build a :class:`SharingPlan` from an in-neighbour-set index.
 
     Exposed separately from :func:`dmst_reduce` so tests and ablations can
     drive the plan construction with a hand-built index.
     """
-    candidate_edges = list(
-        generate_candidate_edges(
-            index,
-            strategy=candidate_strategy,
-            max_candidates_per_set=max_candidates_per_set,
-            max_posting_length=max_posting_length,
+    scratch = np.maximum(index.set_sizes() - 1, 0)
+    parents = np.full(index.num_sets, ROOT, dtype=np.int64)
+    weights = scratch.copy()
+    num_candidate_edges = index.num_sets  # the root edges
+    for targets, sources, sym_diffs in candidate_blocks(
+        index, candidate_strategy, max_candidates_per_set
+    ):
+        num_candidate_edges += targets.size
+        # A candidate beats the root edge only when sharing is strictly
+        # cheaper; among those the first minimum in rank order wins.
+        shared = sym_diffs < scratch[targets]
+        targets, sources, sym_diffs = targets[shared], sources[shared], sym_diffs[shared]
+        first_min = np.lexsort((np.arange(targets.size), sym_diffs, targets))
+        targets, sources, sym_diffs = (
+            targets[first_min], sources[first_min], sym_diffs[first_min]
         )
-    )
-
-    if index.num_sets == 0:
-        return SharingPlan(index, nodes=[], num_candidate_edges=0)
-
-    # Node 0 of G* is the root ∅; node s+1 is the s-th distinct set.
-    arborescence = minimum_spanning_arborescence(
-        num_vertices=index.num_sets + 1,
-        edges=[(edge.source, edge.target, float(edge.weight)) for edge in candidate_edges],
-        root=0,
-    )
+        winners = np.flatnonzero(np.diff(targets, prepend=-1))
+        parents[targets[winners]] = sources[winners]
+        weights[targets[winners]] = sym_diffs[winners]
 
     nodes: list[PlanNode] = []
-    for set_id in range(index.num_sets):
-        edge_index = arborescence.parent_of(set_id + 1)
-        if edge_index is None:  # pragma: no cover - root edges guarantee coverage
-            raise AssertionError("every distinct set must be reachable from ∅")
-        chosen = candidate_edges[edge_index]
+    for set_id, (parent_id, weight) in enumerate(zip(parents.tolist(), weights.tolist())):
         target_set = index.sets[set_id]
-        if chosen.source == 0:
-            nodes.append(
-                PlanNode(
-                    set_id=set_id,
-                    parent=ROOT,
-                    mode="scratch",
-                    removed=(),
-                    added=tuple(target_set),
-                    weight=chosen.weight,
-                )
-            )
-            continue
-        parent_id = chosen.source - 1
-        parent_set = index.sets[parent_id]
-        if is_sharing_profitable(parent_set, target_set):
-            removed, added = split_delta(parent_set, target_set)
-            nodes.append(
-                PlanNode(
-                    set_id=set_id,
-                    parent=parent_id,
-                    mode="delta",
-                    removed=removed,
-                    added=added,
-                    weight=chosen.weight,
-                )
-            )
+        if parent_id == ROOT:
+            nodes.append(PlanNode(set_id, ROOT, "scratch", (), target_set, weight))
         else:
-            # The MST may keep a non-root parent whose weight equals the
-            # from-scratch cost; computing from scratch is then just as cheap
-            # and avoids keeping the parent's partial sum alive.
-            nodes.append(
-                PlanNode(
-                    set_id=set_id,
-                    parent=parent_id,
-                    mode="scratch",
-                    removed=(),
-                    added=tuple(target_set),
-                    weight=chosen.weight,
-                )
-            )
+            removed, added = split_delta(index.sets[parent_id], target_set)
+            nodes.append(PlanNode(set_id, parent_id, "delta", removed, added, weight))
+    return SharingPlan(index, nodes=nodes, num_candidate_edges=num_candidate_edges)
 
-    return SharingPlan(index, nodes=nodes, num_candidate_edges=len(candidate_edges))
+
+def check_plan(plan: SharingPlan, graph: DiGraph) -> None:
+    """Raise :class:`~repro.exceptions.ConfigurationError` unless ``plan`` fits ``graph``.
+
+    The plan's index must group ``graph``'s vertices exactly: one entry per
+    vertex, and each vertex's set equal to ``graph.in_neighbors(v)``.  A plan
+    built for another graph would otherwise give wrong scores silently.
+    """
+    set_of_vertex = plan.index.set_of_vertex
+    if set_of_vertex.size != graph.num_vertices:
+        raise ConfigurationError(
+            f"the sharing plan covers {set_of_vertex.size} vertices, "
+            f"the graph has {graph.num_vertices}"
+        )
+    for vertex, set_id in enumerate(set_of_vertex.tolist()):
+        in_set = plan.index.sets[set_id] if set_id >= 0 else ()
+        if in_set != graph.in_neighbors(vertex):
+            raise ConfigurationError(
+                f"the sharing plan was built for another graph: vertex {vertex}'s "
+                "in-neighbour set differs"
+            )

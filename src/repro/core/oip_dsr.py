@@ -25,7 +25,7 @@ from typing import Optional
 from ..graph.digraph import DiGraph
 from ..numerics.norms import max_difference
 from .convergence import ConvergenceTrace
-from .dmst_reduce import dmst_reduce
+from .dmst_reduce import check_plan, dmst_reduce
 from .instrumentation import Instrumentation
 from .iteration_bounds import differential_iterations_exact
 from .result import SimRankResult, validate_damping, validate_iterations
@@ -71,6 +71,8 @@ def oip_dsr(
             max_candidates_per_set=max_candidates_per_set,
             instrumentation=instrumentation,
         )
+    else:
+        check_plan(plan, graph)
 
     engine = SharingEngine(graph, plan, instrumentation=instrumentation)
     trace = ConvergenceTrace(model="differential", damping=damping)

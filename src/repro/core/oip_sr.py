@@ -27,7 +27,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..graph.digraph import DiGraph
 from .convergence import ConvergenceTrace
-from .dmst_reduce import dmst_reduce
+from .dmst_reduce import check_plan, dmst_reduce
 from .instrumentation import Instrumentation
 from .iteration_bounds import conventional_iterations
 from .result import SimRankResult, validate_damping, validate_iterations
@@ -65,7 +65,9 @@ def oip_sr(
     plan:
         A pre-built :class:`~repro.core.plans.SharingPlan`.  Passing one
         skips the ``DMST-Reduce`` phase, which is how the benchmarks measure
-        the "share sums" phase in isolation (Fig. 6b).
+        the "share sums" phase in isolation (Fig. 6b).  It must be built
+        for ``graph``: :func:`~repro.core.dmst_reduce.check_plan` raises
+        :class:`~repro.exceptions.ConfigurationError` otherwise.
     candidate_strategy, max_candidates_per_set:
         Forwarded to :func:`~repro.core.dmst_reduce.dmst_reduce` when the
         plan is built here.
@@ -101,6 +103,8 @@ def oip_sr(
             max_candidates_per_set=max_candidates_per_set,
             instrumentation=instrumentation,
         )
+    else:
+        check_plan(plan, graph)
 
     engine = SharingEngine(graph, plan, instrumentation=instrumentation)
     trace = ConvergenceTrace(model="conventional", damping=damping)

@@ -13,7 +13,6 @@ import warnings
 from collections.abc import Hashable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import ConfigurationError
 
@@ -31,6 +30,10 @@ def kendall_tau(first_scores: Sequence[float], second_scores: Sequence[float]) -
         raise ConfigurationError("score vectors must have equal length")
     if len(first_scores) < 2:
         return 1.0
+    # Imported here: scipy.stats takes most of a second to load, and a
+    # server start never needs it.
+    from scipy import stats
+
     with warnings.catch_warnings():
         # Constant score vectors make the coefficient undefined; we report
         # full agreement in that case, so silence SciPy's warning.
@@ -51,6 +54,8 @@ def spearman_rho(
         raise ConfigurationError("score vectors must have equal length")
     if len(first_scores) < 2:
         return 1.0
+    from scipy import stats
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rho, _ = stats.spearmanr(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -37,6 +43,22 @@ class TestParser:
     def test_bench_backends_registered(self):
         args = build_parser().parse_args(["bench-backends", "--quick"])
         assert args.experiment == "bench-backends"
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes most of a second to import and only the rank
+        # correlations use it, so a server start must not pay for it.
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestMain:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 
 from repro.core.dmst_reduce import build_sharing_plan, dmst_reduce
 from repro.core.instrumentation import Instrumentation
 from repro.core.neighbor_index import InNeighborIndex
+from repro.core.oip_dsr import oip_dsr
+from repro.core.oip_sr import oip_sr
 from repro.core.plans import ROOT
+from repro.exceptions import ConfigurationError
 from repro.graph.builders import from_edges, star_graph
 
 
@@ -95,3 +100,26 @@ class TestDmstReduce:
         index = InNeighborIndex.from_graph(paper_graph)
         plan = build_sharing_plan(index, candidate_strategy="exhaustive")
         assert plan.total_weight() == 8
+
+
+@pytest.mark.parametrize("method", [oip_sr, oip_dsr], ids=["oip-sr", "oip-dsr"])
+class TestCallerSuppliedPlan:
+    PLANNED = from_edges([(0, 2), (1, 2), (0, 3), (1, 3), (2, 4)], n=6)
+
+    def test_plan_of_another_graph_is_rejected(self, method):
+        # Same vertex count, different in-neighbour sets: the plan would
+        # otherwise run and give scores off by up to 0.3.
+        other = from_edges([(0, 5), (1, 5), (3, 4)], n=6)
+        with pytest.raises(ConfigurationError, match="another graph"):
+            method(other, iterations=3, plan=dmst_reduce(self.PLANNED))
+
+    def test_plan_of_another_size_is_rejected(self, method):
+        smaller = from_edges([(0, 1), (1, 2)], n=3)
+        with pytest.raises(ConfigurationError, match="6 vertices"):
+            method(smaller, iterations=3, plan=dmst_reduce(self.PLANNED))
+
+    def test_plan_of_the_same_graph_is_used(self, method):
+        plan = dmst_reduce(self.PLANNED)
+        supplied = method(self.PLANNED, iterations=3, plan=plan)
+        built = method(self.PLANNED, iterations=3)
+        assert np.array_equal(supplied.scores, built.scores)

@@ -1,4 +1,4 @@
-"""Unit tests for the Chu-Liu/Edmonds directed MST solver."""
+"""Unit tests for the Chu-Liu/Edmonds directed MST solver of the DMST oracle."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.mst.edmonds import minimum_spanning_arborescence
+
+from dmst_oracle import minimum_spanning_arborescence
 
 
 def _total_weight(edges, chosen):

@@ -38,12 +38,13 @@ from repro.core.transition_cost import (
     transition_cost,
 )
 from repro.graph.digraph import DiGraph
-from repro.mst.edmonds import minimum_spanning_arborescence
 from repro.numerics.series import (
     exponential_coefficients,
     exponential_tail_bound,
     geometric_coefficients,
 )
+
+from dmst_oracle import minimum_spanning_arborescence
 
 # --------------------------------------------------------------------------- #
 # Strategies
