@@ -80,27 +80,6 @@ class MethodSpec:
     solver: Callable[..., SimRankResult]
     capabilities: Capabilities = Capabilities()
 
-    # Convenience accessors, mirroring the capability record.
-    @property
-    def backends(self) -> tuple[str, ...]:
-        return self.capabilities.backends
-
-    @property
-    def accepts_backend(self) -> bool:
-        return self.capabilities.accepts_backend
-
-    @property
-    def accepts_workers(self) -> bool:
-        return self.capabilities.accepts_workers
-
-    @property
-    def default_backend(self) -> Optional[str]:
-        return self.capabilities.default_backend
-
-    @property
-    def needs_adjacency(self) -> bool:
-        return self.capabilities.needs_adjacency
-
 
 METHODS: dict[str, MethodSpec] = {}
 """Registry of dispatchable methods, keyed by canonical name."""
@@ -191,8 +170,9 @@ def _resolve_backend(spec: MethodSpec, backend) -> Optional[str]:
     unknown names raise :class:`~repro.exceptions.ConfigurationError`, as
     does naming a backend a backend-agnostic method cannot honour.
     """
+    capabilities = spec.capabilities
     if backend is None:
-        return spec.default_backend
+        return capabilities.default_backend
     name = backend.name if isinstance(backend, SimRankBackend) else backend
     if name not in available_backends():
         raise ConfigurationError(
@@ -200,10 +180,10 @@ def _resolve_backend(spec: MethodSpec, backend) -> Optional[str]:
         )
     # Methods that forward `backend=` accept any registered backend (that is
     # the plug-in point); only backend-agnostic methods pin a declared set.
-    if not spec.accepts_backend and name not in spec.backends:
+    if not capabilities.accepts_backend and name not in capabilities.backends:
         raise ConfigurationError(
             f"method {spec.name!r} does not support backend {name!r}; "
-            f"it supports: {', '.join(spec.backends)}"
+            f"it supports: {', '.join(capabilities.backends)}"
         )
     return name
 

@@ -40,7 +40,13 @@ from ...baselines.monte_carlo import (
     sample_fingerprints_reference,
 )
 from ...graph.io import read_edge_list, read_edge_list_streamed
-from ...service import FingerprintIndex, SimilarityService, SpillStats, build_index
+from ...service import (
+    FingerprintIndex,
+    QueryRequest,
+    SimilarityService,
+    SpillStats,
+    build_index,
+)
 from ...workloads import snap_fixture_path, zipf_query_stream
 from ..runner import ExperimentReport
 
@@ -272,7 +278,7 @@ def run(
         )
         overlaps = []
         for query in sample:
-            approximate = approx.top_k(query, approx=True)
+            approximate = approx.query(QueryRequest(query=query, approx=True))
             reference = exact.top_k(query)
             compute_only.top_k(query)
             overlaps.append(

@@ -171,9 +171,8 @@ def run(
         fingerprints = approx_engine.build_fingerprints()
         fp_seconds = time.perf_counter() - fp_started
         approx_service = approx_engine.serve(k=k)
-        # The request API replaces the deprecated top_k(approx=True) kwarg:
-        # per-query policy rides on the QueryRequest itself.  Queries are
-        # issued one at a time, like the other tiers' loops.
+        # Per-query policy rides on the QueryRequest.  Queries are issued
+        # one at a time, like the other tiers' loops.
         for query in stream[:cold_queries]:
             approx_service.query(QueryRequest(query=query, approx=True))
         report.add_row(_tier_row("approx", "approx", approx_service, graph, k))

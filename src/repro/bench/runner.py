@@ -13,22 +13,14 @@ common container every experiment module returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..api import method_spec, simrank
 from ..core.backends import get_backend
-from ..baselines.matrix_sr import matrix_simrank
-from ..baselines.mtx_svd_sr import mtx_svd_simrank
-from ..baselines.naive import naive_simrank
-from ..baselines.psum_sr import psum_simrank
-from ..core.diff_simrank import differential_simrank
-from ..core.oip_dsr import oip_dsr
-from ..core.oip_sr import oip_sr
 from ..core.result import SimRankResult
-from ..extensions.prank import prank, prank_shared
 from ..graph.digraph import DiGraph
 
-__all__ = ["ALGORITHMS", "run_algorithm", "ExperimentReport", "measurement_row"]
+__all__ = ["run_algorithm", "ExperimentReport", "measurement_row"]
 
 
 def _active_profile_digest() -> str:
@@ -36,21 +28,6 @@ def _active_profile_digest() -> str:
     from ..engine.cost_model import active_cost_profile_digest
 
     return active_cost_profile_digest()
-
-
-ALGORITHMS: dict[str, Callable[..., SimRankResult]] = {
-    "oip-dsr": oip_dsr,
-    "oip-sr": oip_sr,
-    "psum-sr": psum_simrank,
-    "mtx-sr": mtx_svd_simrank,
-    "matrix-sr": matrix_simrank,
-    "diff-matrix": differential_simrank,
-    "naive": naive_simrank,
-    "p-rank": prank,
-    "p-rank-shared": prank_shared,
-}
-"""Paper-name -> solver map, kept for introspection; dispatch goes via
-:func:`repro.api.simrank` (these names are all accepted aliases there)."""
 
 
 def run_algorithm(
@@ -65,8 +42,9 @@ def run_algorithm(
     Parameters
     ----------
     name:
-        One of :data:`ALGORITHMS` (the paper's names, accepted as dispatch
-        aliases by :func:`repro.api.simrank`).
+        A method name or alias of :func:`repro.api.simrank` (the paper's
+        names — ``oip-dsr``, ``oip-sr``, ``psum-sr``, ``mtx-sr`` — are
+        aliases there).
     graph:
         Input graph.
     backend:

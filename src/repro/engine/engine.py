@@ -8,9 +8,12 @@ session: the transition operator, the worker pool, the truncated serving
 index and the Monte-Carlo fingerprints are all built lazily on first use and
 reused by every task (``all_pairs`` / ``top_k`` / ``pair`` / ``serve``),
 with build counts exposed on :attr:`Engine.counters` so reuse is a testable
-invariant, not a hope.  Mutations (:meth:`add_edge` / :meth:`remove_edge`)
-bump the session version and invalidate every cached artifact coherently —
-the same version-stamp discipline the serving layer already uses.
+invariant, not a hope.
+
+The graph itself — edges, version, transition operators and the lock —
+lives in one :class:`~repro.graph.versioned.VersionedGraph` that the engine
+shares with every service :meth:`serve` creates, so a mutation through any
+of them is one mutation of one graph, seen by all at one version.
 
 Task execution goes through the cost-based planner
 (:mod:`repro.engine.planner`): :meth:`explain` returns the chosen plan —
@@ -35,7 +38,6 @@ sparse
 from __future__ import annotations
 
 import inspect
-import threading
 import warnings
 from typing import Hashable, Optional, Sequence, Union
 
@@ -43,12 +45,12 @@ import numpy as np
 
 from ..api import METHODS, _resolve_backend
 from ..baselines.topk import RankedList
-from ..core.backends import get_backend
+from ..core.backends import SimRankBackend, TransitionOperator, get_backend
 from ..core.instrumentation import Instrumentation
 from ..core.result import SimRankResult
 from ..core.similarity_store import SimilarityStore, ranked_entries
 from ..exceptions import ConfigurationError
-from ..graph.edgelist import edge_list_from_pairs
+from ..graph.versioned import VersionedGraph
 from ..obs import MetricsRegistry
 from ..parallel import ParallelExecutor, resolve_workers
 from ..service.fingerprints import FingerprintIndex
@@ -137,7 +139,8 @@ class Engine:
         selection, serial execution.
 
     The engine is a context manager; :meth:`close` retires the shared
-    worker pool.
+    worker pool.  It is safe to call from several threads; its state, and
+    that of every service it creates, is guarded by the graph's lock.
     """
 
     def __init__(
@@ -157,24 +160,18 @@ class Engine:
         self.config = config
         self._config_digest = config.digest()
         self.counters = ArtifactCounters()
-        self._graph = graph
-        self._lock = threading.RLock()
-        self._version = 0
-        # Edge overlay, materialised lazily on the first mutation; until
-        # then the session serves the caller's graph object untouched.
-        self._edges: Optional[set[tuple[int, int]]] = None
-        self._compute_graph = None
+        self._graph = VersionedGraph(graph)
+        self._lock = self._graph.lock
         self._stats: Optional[GraphStats] = None
-        self._transition = None
-        self._transition_backend: Optional[str] = None
         self._executor: Optional[ParallelExecutor] = None
         self._index: Optional[SimilarityStore] = None
         self._fingerprints: Optional[FingerprintIndex] = None
         self._cost_model: Optional[CostModel] = None
         # Resolved plans, keyed by (task, queries, config digest, model
-        # digest) — the GraphStats component is implicit: _invalidate()
+        # digest) — the GraphStats component is implicit: _on_mutation()
         # clears the cache whenever the stats can change.
         self._plan_cache: dict[tuple, Union[TaskPlan, ExecutionPlan]] = {}
+        self._graph.subscribe(self._on_mutation)
 
     # ------------------------------------------------------------------ #
     # Session state
@@ -182,48 +179,28 @@ class Engine:
     @property
     def version(self) -> int:
         """Session version; bumped by every effective edge mutation."""
-        with self._lock:
-            return self._version
+        return self._graph.version
 
     @property
     def num_vertices(self) -> int:
-        return int(self._graph.num_vertices)
+        return self._graph.num_vertices
 
     @property
     def num_edges(self) -> int:
-        """Edge count at the current version.
-
-        Before any mutation this is the underlying graph's own count
-        (which, for :class:`~repro.graph.edgelist.EdgeListGraph` inputs,
-        may include duplicate edge samples); once the session has mutated,
-        it is the overlay's count of *distinct* directed edges.
-        """
-        with self._lock:
-            if self._edges is not None:
-                return len(self._edges)
-        return int(self._graph.num_edges)
+        """Edge count at the current version (see
+        :attr:`VersionedGraph.num_edges`)."""
+        return self._graph.num_edges
 
     def current_graph(self):
         """The session's graph at the current version.
 
         Until the first mutation this is the caller's graph object; after
         a mutation it is an :class:`~repro.graph.edgelist.EdgeListGraph`
-        rebuilt from the edge overlay through the shared
-        :func:`~repro.graph.edgelist.edge_list_from_pairs` helper — the
-        same convention :meth:`SimilarityService.current_graph` uses.
-        Labels keep resolving through the *original* graph on every query
-        surface (the vertex set is fixed; only edges mutate).
+        of the edge overlay.  Labels keep resolving through the *original*
+        graph on every query surface (the vertex set is fixed; only edges
+        mutate).
         """
-        with self._lock:
-            if self._edges is None:
-                return self._graph
-            if self._compute_graph is None:
-                self._compute_graph = edge_list_from_pairs(
-                    self.num_vertices,
-                    self._edges,
-                    name=getattr(self._graph, "name", ""),
-                )
-            return self._compute_graph
+        return self._graph.current()
 
     def stats(self) -> GraphStats:
         """Graph statistics at the current version (cached)."""
@@ -254,7 +231,7 @@ class Engine:
         Every dispatch path prices through here; the cache means a steady
         session re-prices nothing (``counters.plan_computes`` stays flat
         while ``plan_cache_hits`` grows) and a mutation re-prices
-        everything exactly once (``_invalidate`` clears the cache).
+        everything exactly once (``_on_mutation`` clears the cache).
         """
         model = self.cost_model()
         key = (task, queries, self._config_digest, model.digest())
@@ -319,21 +296,25 @@ class Engine:
             return _resolve_backend(spec, self.config.backend)
         return self._plan("top_k").backend
 
-    def transition(self):
+    def transition(self) -> TransitionOperator:
         """The session's transition operator, built once and reused.
 
         Every task shape — the matrix all-pairs solve, batched top-k rows,
         single-pair scores, the serving index, the fingerprint head — runs
-        against this one operator; :attr:`counters` records the build.
+        against this one operator, and so does every service
+        :meth:`serve` created; :attr:`counters` records the builds the
+        engine caused.
         """
-        backend = self._series_backend_name()
+        return self._series()[1]
+
+    def _series(self) -> tuple[SimRankBackend, TransitionOperator]:
+        """The series backend and its operator at the current version."""
+        backend = get_backend(self._series_backend_name())
         with self._lock:
-            if self._transition is None or self._transition_backend != backend:
-                engine = get_backend(backend)
-                self._transition = engine.transition(self.current_graph())
-                self._transition_backend = backend
+            transition, built = self._graph.transition(backend)
+            if built:
                 self.counters.transition_builds += 1
-            return self._transition
+        return backend, transition
 
     def _shared_executor(self, workers: int) -> Optional[ParallelExecutor]:
         """The session worker pool, bound to the shared operator.
@@ -344,14 +325,14 @@ class Engine:
         """
         if workers <= 1:
             return None
-        transition = self.transition()
         with self._lock:
+            backend, transition = self._series()
             if self._executor is None:
                 self._executor = ParallelExecutor(
                     transition,
                     damping=self.config.damping,
                     iterations=self.config.resolved_iterations(),
-                    backend=self._transition_backend,
+                    backend=backend,
                     workers=workers,
                 )
                 self.counters.executor_builds += 1
@@ -372,15 +353,19 @@ class Engine:
         instead of rebuilding.
         """
         plan = self._plan("serve")
+        with self._lock:
+            version = self._graph.version
+            graph = self._graph.current()
+            transition = self.transition()
         index = _build_index(
-            self.current_graph(),
+            graph,
             index_k=self.config.index_k if index_k is None else index_k,
             damping=self.config.damping,
             iterations=self.config.resolved_iterations(),
             backend=plan.backend,
             workers=plan.workers,
             memory_budget=self.config.memory_budget,
-            transition=self.transition(),
+            transition=transition,
         )
         if self.config.catalog_path is not None:
             # Committed while the store still references the *structural*
@@ -391,9 +376,11 @@ class Engine:
             IndexCatalog.create(self.config.catalog_path, index, overwrite=True)
         # Serve labels through the session's original graph, not the
         # integer edge overlay (same convention as the service's rebuild).
-        index.graph = self._graph
+        index.graph = self._graph.base
         with self._lock:
-            self._index = index
+            # A mutation that raced the build has already staled it.
+            if self._graph.version == version:
+                self._index = index
             self.counters.index_builds += 1
         return index
 
@@ -404,19 +391,24 @@ class Engine:
         ``approx_seed`` and the shared transition operator for the exact
         series head.
         """
+        with self._lock:
+            version = self._graph.version
+            graph = self._graph.current()
+            transition = (
+                self.transition() if self.config.approx_head > 0 else None
+            )
         fingerprints = FingerprintIndex.build(
-            self.current_graph(),
+            graph,
             damping=self.config.damping,
             num_walks=self.config.approx_walks,
             head_iterations=self.config.approx_head,
             backend=self._series_backend_name(),
             seed=self.config.approx_seed,
-            transition=(
-                self.transition() if self.config.approx_head > 0 else None
-            ),
+            transition=transition,
         )
         with self._lock:
-            self._fingerprints = fingerprints
+            if self._graph.version == version:
+                self._fingerprints = fingerprints
             self.counters.fingerprint_builds += 1
         return fingerprints
 
@@ -528,19 +520,18 @@ class Engine:
         indices = np.array(
             [self._graph.index_of(query) for query in queries], dtype=np.int64
         )
-        transition = self.transition()
-        iterations = self.config.resolved_iterations()
+        backend, transition = self._series()
         executor = self._shared_executor(plan.workers)
         if executor is not None:
             rows = executor.similarity_rows(
                 indices, instrumentation=instrumentation
             )
         else:
-            rows = get_backend(self._transition_backend).similarity_rows(
+            rows = backend.similarity_rows(
                 transition,
                 indices,
                 damping=self.config.damping,
-                iterations=iterations,
+                iterations=self.config.resolved_iterations(),
                 instrumentation=instrumentation,
             )
         rankings: list[RankedList] = []
@@ -573,8 +564,8 @@ class Engine:
         if source == target:
             return 1.0
         self._plan("pair")
-        transition = self.transition()
-        row = get_backend(self._transition_backend).similarity_rows(
+        backend, transition = self._series()
+        row = backend.similarity_rows(
             transition,
             np.array([source], dtype=np.int64),
             damping=self.config.damping,
@@ -585,30 +576,34 @@ class Engine:
     def serve(self, k: int = 10, warm: bool = False) -> SimilarityService:
         """A :class:`~repro.service.service.SimilarityService` on shared state.
 
-        The service receives the session's transition operator (so its
-        compute tier never rebuilds it), the serving index and the
-        fingerprint set *if the session has built them* — call
-        :meth:`build_index` / :meth:`build_fingerprints` first, or pass
-        ``warm=True`` to build whatever the serving plan selects before
-        wiring the service.  Answers are bit-identical to a standalone
-        ``SimilarityService`` over the same graph and artifacts.
+        The service shares the session's graph — its edges, version,
+        transition operators and lock — so a mutation through the engine
+        or through any service reaches every one of them.  It also
+        receives the serving index and the fingerprint set *if the session
+        has built them*: call :meth:`build_index` /
+        :meth:`build_fingerprints` first, or pass ``warm=True`` to build
+        whatever the serving plan selects before wiring the service.
+        Answers are bit-identical to a standalone ``SimilarityService``
+        over the same graph and artifacts.
 
         With ``catalog_path`` configured and a committed catalog on disk,
         an unmutated session with no in-memory index serves straight from
         the catalog: the base opens memory-mapped (no rebuild, no full
-        materialisation) and the service resumes the catalog's logged
-        state — including any edge mutations a previous serving process
-        durably logged.  A catalog that does not match the session's graph
-        or configuration is *not* served; it warns and falls back to the
-        ordinary path (the explicit ``load_index``/``SimilarityService``
-        route raises instead — an opportunistic warm start must never
-        break a legitimate session).
+        materialisation), the catalog's edge log replays onto the session
+        graph — including any edge mutations a previous serving process
+        durably logged — and logs every later mutation.  A catalog that
+        does not match the session's graph or configuration is *not*
+        served; it warns and falls back to the ordinary path (the explicit
+        ``load_index``/``SimilarityService`` route raises instead — an
+        opportunistic warm start must never break a legitimate session).
         """
         plan = self._plan("serve")
+        catalog = None
         if (
             self.config.catalog_path is not None
             and self._index is None
-            and self._version == 0
+            and self._graph.version == 0
+            and self._graph.journal is None
         ):
             from ..catalog import IndexCatalog
 
@@ -616,12 +611,13 @@ class Engine:
                 try:
                     catalog = IndexCatalog.open(self.config.catalog_path)
                     catalog.validate(
-                        self.current_graph(),
+                        self._graph.base,
                         damping=self.config.damping,
                         iterations=self.config.resolved_iterations(),
                         index_k=self.config.index_k,
                     )
                 except ConfigurationError as error:
+                    catalog = None
                     warnings.warn(
                         f"ignoring catalog at {self.config.catalog_path}: "
                         f"{error}",
@@ -631,44 +627,26 @@ class Engine:
                 else:
                     with self._lock:
                         self.counters.catalog_opens += 1
-                    # No shared transition handed over: the catalog start
-                    # is the cheap path (mmap open, no operator build),
-                    # and the catalog's replayed edge log may supersede
-                    # this session's graph anyway.
-                    return SimilarityService(
-                        self.current_graph(),
-                        k=k,
-                        damping=self.config.damping,
-                        iterations=self.config.resolved_iterations(),
-                        backend=plan.backend,
-                        cache_size=self.config.cache_size,
-                        max_batch=self.config.max_batch,
-                        workers=plan.workers,
-                        fingerprints=self._fingerprints,
-                        label_graph=self._graph,
-                        catalog=catalog,
-                        plan_digest=self._config_digest,
-                    )
-        if warm:
+        if catalog is None and warm:
             if plan.tier == "index" and self._index is None:
                 self.build_index()
             elif plan.tier == "approx" and self._fingerprints is None:
                 self.build_fingerprints()
-        return SimilarityService(
-            self.current_graph(),
-            self._index,
-            k=k,
-            damping=self.config.damping,
-            iterations=self.config.resolved_iterations(),
-            backend=plan.backend,
-            cache_size=self.config.cache_size,
-            max_batch=self.config.max_batch,
-            workers=plan.workers,
-            fingerprints=self._fingerprints,
-            transition=self.transition(),
-            label_graph=self._graph,
-            plan_digest=self._config_digest,
-        )
+        with self._lock:
+            return SimilarityService(
+                self._graph,
+                self._index,
+                k=k,
+                damping=self.config.damping,
+                iterations=self.config.resolved_iterations(),
+                backend=plan.backend,
+                cache_size=self.config.cache_size,
+                max_batch=self.config.max_batch,
+                workers=plan.workers,
+                fingerprints=self._fingerprints,
+                catalog=catalog,
+                plan_digest=self._config_digest,
+            )
 
     def server(
         self,
@@ -709,49 +687,23 @@ class Engine:
     # ------------------------------------------------------------------ #
     def add_edge(self, source: Hashable, target: Hashable) -> bool:
         """Insert a directed edge; returns ``False`` when already present."""
-        edge = (self._graph.index_of(source), self._graph.index_of(target))
-        with self._lock:
-            edges = self._materialise_edges()
-            if edge in edges:
-                return False
-            edges.add(edge)
-            self._invalidate()
-            return True
+        return self._graph.add_edge(source, target)
 
     def remove_edge(self, source: Hashable, target: Hashable) -> bool:
         """Delete a directed edge; returns ``False`` when absent."""
-        edge = (self._graph.index_of(source), self._graph.index_of(target))
-        with self._lock:
-            edges = self._materialise_edges()
-            if edge not in edges:
-                return False
-            edges.remove(edge)
-            self._invalidate()
-            return True
+        return self._graph.remove_edge(source, target)
 
-    def _materialise_edges(self) -> set[tuple[int, int]]:
-        # Caller holds the lock.
-        if self._edges is None:
-            self._edges = {
-                (int(source), int(target))
-                for source, target in self._graph.edges()
-            }
-        return self._edges
+    def _on_mutation(self, endpoints) -> None:
+        """Drop every artifact derived from the old edges.
 
-    def _invalidate(self) -> None:
-        """Version-stamp invalidation of every cached artifact.
-
-        Caller holds the lock.  SimRank is a global measure — one edge
-        perturbs every score — so invalidation is total: operator, pool,
-        index, fingerprints and cached statistics all go; they rebuild
+        Called by the graph, under its lock, after each mutation through
+        the engine or any of its services.  SimRank is a global measure —
+        one edge perturbs every score — so invalidation is total: pool,
+        index, fingerprints, statistics and plans all go; they rebuild
         lazily (and the counters record that they did).
         """
-        self._version += 1
-        self._compute_graph = None
         self._stats = None
         self._plan_cache.clear()
-        self._transition = None
-        self._transition_backend = None
         self._index = None
         self._fingerprints = None
         if self._executor is not None:
@@ -778,7 +730,7 @@ class Engine:
         built = [
             name
             for name, artifact in (
-                ("transition", self._transition),
+                ("transition", self._graph.operators or None),
                 ("executor", self._executor),
                 ("index", self._index),
                 ("fingerprints", self._fingerprints),

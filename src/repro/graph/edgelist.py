@@ -25,30 +25,7 @@ import numpy as np
 from ..exceptions import GraphBuildError, VertexNotFoundError
 from .matrices import validate_edge_arrays
 
-__all__ = ["EdgeListGraph", "edge_list_from_pairs"]
-
-
-def edge_list_from_pairs(
-    num_vertices: int,
-    pairs: Iterable[tuple[int, int]],
-    name: str = "",
-) -> "EdgeListGraph":
-    """Build an :class:`EdgeListGraph` from a collection of edge pairs.
-
-    The one shared implementation behind every *edge-overlay* rebuild (the
-    serving engine's and the session engine's mutable edge sets both
-    funnel through it): pairs are sorted for determinism — the same edge
-    set always yields the same arrays, whatever order mutations happened
-    in — and the empty set builds a valid edgeless graph.
-    """
-    pairs = sorted(pairs)
-    if pairs:
-        edge_array = np.array(pairs, dtype=np.int64)
-        sources, targets = edge_array[:, 0], edge_array[:, 1]
-    else:
-        sources = np.empty(0, dtype=np.int64)
-        targets = np.empty(0, dtype=np.int64)
-    return EdgeListGraph.from_arrays(num_vertices, sources, targets, name=name)
+__all__ = ["EdgeListGraph"]
 
 
 class EdgeListGraph:

@@ -37,7 +37,6 @@ from typing import Optional
 
 from ..exceptions import ConfigurationError
 from ..obs import MetricsRegistry
-from ..obs.compat import warn_once
 
 __all__ = ["SLOController"]
 
@@ -133,18 +132,6 @@ class SLOController:
     def recoveries(self) -> int:
         """Transitions back *out of* degraded mode."""
         return int(self._recoveries.value)
-
-    @property
-    def observed(self) -> int:
-        """Deprecated: read ``snapshot()["observed"]`` or the
-        ``slo_observed`` registry counter instead."""
-        warn_once(
-            "SLOController.observed",
-            "SLOController.observed is deprecated; read snapshot()['observed'] "
-            "or the slo_observed counter on SLOController.registry (see the "
-            "README observability migration table)",
-        )
-        return int(self._observed.value)
 
     def p99_ms(self) -> Optional[float]:
         """The windowed p99, or ``None`` before any observation."""

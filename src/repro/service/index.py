@@ -37,7 +37,7 @@ __all__ = ["build_index", "load_index", "save_index"]
 
 def _resolve_backend(backend: Union[str, SimRankBackend, None]) -> SimRankBackend:
     if backend is None:
-        backend = METHODS["matrix"].default_backend
+        backend = METHODS["matrix"].capabilities.default_backend
     return get_backend(backend)
 
 

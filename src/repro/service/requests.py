@@ -10,9 +10,7 @@ here:
 * :class:`QueryResponse` — one answered ranking, stamped with the tier that
   produced it and the graph version it is exact (or estimated) against;
 * :class:`ServeError` — one typed failure, with a stable :class:`ErrorCode`
-  shared by in-process and network callers, replacing the mixed
-  ``KeyError``/``RuntimeError``/``ValueError`` raises of the older kwarg
-  entry points.
+  shared by in-process and network callers.
 
 All three are frozen dataclasses with a lossless wire form
 (:meth:`~QueryRequest.to_wire` / :meth:`~QueryRequest.from_wire`): flat JSON
@@ -124,10 +122,6 @@ class ServeError(ReproError):
     request_id:
         The id of the request this error answers, when there is one — the
         network protocol uses it to route the error to its caller.
-    vertex:
-        For :data:`ErrorCode.UNKNOWN_VERTEX`: the offending label, kept so
-        :meth:`as_legacy` can rebuild the historical
-        :class:`~repro.exceptions.VertexNotFoundError` faithfully.
     """
 
     def __init__(
@@ -136,14 +130,12 @@ class ServeError(ReproError):
         message: str,
         *,
         request_id: Optional[int] = None,
-        vertex: Optional[Hashable] = None,
     ) -> None:
         code = ErrorCode(code)
         super().__init__(f"[{code.value}] {message}")
         self.code = code
         self.detail = message
         self.request_id = request_id
-        self.vertex = vertex
 
     @property
     def retryable(self) -> bool:
@@ -152,9 +144,7 @@ class ServeError(ReproError):
 
     def with_request_id(self, request_id: Optional[int]) -> "ServeError":
         """A copy answering a specific request (wire routing)."""
-        return ServeError(
-            self.code, self.detail, request_id=request_id, vertex=self.vertex
-        )
+        return ServeError(self.code, self.detail, request_id=request_id)
 
     # -------------------------------------------------------------- #
     # Wire form
@@ -193,7 +183,7 @@ class ServeError(ReproError):
         )
 
     # -------------------------------------------------------------- #
-    # Interop with the legacy exception surface
+    # Mapping arbitrary exceptions onto codes
     # -------------------------------------------------------------- #
     @classmethod
     def wrap(
@@ -201,7 +191,7 @@ class ServeError(ReproError):
     ) -> "ServeError":
         """Map an arbitrary serving-path exception onto a typed code.
 
-        The inverse of :meth:`as_legacy`: vertex lookups become
+        Vertex lookups become
         :data:`ErrorCode.UNKNOWN_VERTEX`, parameter validation becomes
         :data:`ErrorCode.BAD_REQUEST`, a dead worker pool becomes
         :data:`ErrorCode.POOL_FAILURE`, everything else is
@@ -218,7 +208,6 @@ class ServeError(ReproError):
                 ErrorCode.UNKNOWN_VERTEX,
                 str(error.args[0]) if error.args else str(error),
                 request_id=request_id,
-                vertex=error.vertex,
             )
         if isinstance(error, (ConfigurationError, TypeError, ValueError)):
             return cls(
@@ -233,22 +222,6 @@ class ServeError(ReproError):
             f"{type(error).__name__}: {error}",
             request_id=request_id,
         )
-
-    def as_legacy(self) -> Exception:
-        """The exception the pre-request-API entry points used to raise.
-
-        The deprecated ``top_k``-style adapters call this so existing
-        callers keep catching the exception types they always caught (see
-        the README migration table); new code should catch
-        :class:`ServeError` and switch on :attr:`code` instead.
-        """
-        if self.code is ErrorCode.UNKNOWN_VERTEX:
-            if self.vertex is not None:
-                return VertexNotFoundError(self.vertex)
-            return KeyError(self.detail)
-        if self.code in (ErrorCode.BAD_REQUEST, ErrorCode.UNSUPPORTED_VERSION):
-            return ConfigurationError(self.detail)
-        return RuntimeError(f"[{self.code.value}] {self.detail}")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ query server with the tiered answer path of production similarity systems:
    (:class:`~repro.service.cache.LRUCache`) absorbs the repeated hot
    queries of skewed traffic;
 3. **approx** — an optional Monte-Carlo tier
-   (:class:`~repro.service.fingerprints.FingerprintIndex`): queries that
-   opt in (``approx=True`` or a ``max_error`` bound the fingerprints'
-   standard error satisfies) are answered from sampled reverse-walk
-   fingerprints instead of an exact evaluation — the Fogaras–Rácz
+   (:class:`~repro.service.fingerprints.FingerprintIndex`): requests that
+   opt in (``QueryRequest(approx=True)`` or a ``max_error`` bound the
+   fingerprints' standard error satisfies) are answered from sampled
+   reverse-walk fingerprints instead of an exact evaluation — the Fogaras–Rácz
    estimator for pairs the exact index cannot afford on large graphs;
 4. **compute** — everything else falls through to an on-demand
    truncated-series evaluation, micro-batched
@@ -29,38 +29,43 @@ approximate tier trades a bounded statistical error for latency and memory
 — only for queries that explicitly opt in — and its answers are never
 written back to the exact cache or index.
 
+**The graph.**  Edges, version, transition operators and the lock live in
+one :class:`~repro.graph.versioned.VersionedGraph`.  A standalone service
+wraps its own; every service an :class:`~repro.engine.Engine` creates
+shares the engine's, so a mutation through any of them is one mutation of
+one graph, and all of them answer at the same version.
+
 **Incremental updates.**  SimRank is a global measure — inserting one edge
 perturbs, in principle, every score (that is why the incremental-SimRank
 literature tracks score *deltas* rather than pruned vertex sets).  The
-service therefore does not pretend a mutation is local: :meth:`add_edge` /
-:meth:`remove_edge` bump the graph version, which atomically invalidates
-the whole cache and stamps every index row stale, and mark the edge
-endpoints *dirty*.  :meth:`refresh` then eagerly recomputes only the dirty
-rows (batched, at the current version), while every other row is lazily
-recomputed-and-merged the first time it is queried.  Served answers are
-consequently always exact with respect to the current graph — identical to
-a from-scratch rebuild — but the up-front cost of a mutation is
-``O(dirty)`` rows instead of ``O(n)``.
+service therefore does not pretend a mutation is local: a mutation bumps
+the graph version, which stamps every index row stale, and the service's
+listener invalidates the whole cache and marks the edge endpoints *dirty*.
+:meth:`refresh` then eagerly recomputes only the dirty rows (batched, at
+the current version), while every other row is lazily recomputed-and-merged
+the first time it is queried.  Served answers are consequently always exact
+with respect to the current graph — identical to a from-scratch rebuild —
+but the up-front cost of a mutation is ``O(dirty)`` rows instead of
+``O(n)``.
 
-**Thread safety.**  The service is safe for concurrent readers and a
-concurrent mutator.  One re-entrant lock guards all shared state (edge
-set, version, dirty set, index row versions, cache, stats); the expensive
-series evaluations run *outside* that lock, so readers keep answering
-from the cache and index while a :meth:`refresh` or another reader's miss
-computes.  Every write-back of computed data — cache fills, index merges,
-refresh merges — is *version-gated*: the rows are applied only when the
-graph version they were computed at is still current, so a racing mutation
-can never poison the cache or the index with stale scores.  Lock ordering
-is ``batcher → service → (stats, cache)``; the service never calls into
-the batcher while holding its own lock.
+**Thread safety.**  The service is safe for concurrent readers and
+concurrent mutators, through it or through its engine.  The graph's
+re-entrant lock guards all shared state (edges, version, dirty set, index
+row versions, cache, stats); the expensive series evaluations run *outside*
+that lock, so readers keep answering from the cache and index while a
+:meth:`refresh` or another reader's miss computes.  Every write-back of
+computed data — cache fills, index merges, refresh merges — is
+*version-gated*: the rows are applied only when the graph version they were
+computed at is still current, so a racing mutation can never poison the
+cache or the index with stale scores.  Lock ordering is
+``batcher → graph → (stats, cache)``; the service never calls into the
+batcher while holding the graph lock.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
-from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import replace
@@ -74,9 +79,8 @@ from ..core.iteration_bounds import conventional_iterations
 from ..core.result import validate_damping, validate_iterations
 from ..core.similarity_store import SimilarityStore, ranked_entries, row_top_k
 from ..exceptions import ConfigurationError
-from ..graph.edgelist import EdgeListGraph, edge_list_from_pairs
+from ..graph.versioned import VersionedGraph
 from ..obs import Counter, Histogram, MetricsRegistry, SlowQueryLog, Trace
-from ..obs.compat import warn_once
 from ..parallel import ParallelExecutor, resolve_workers
 from .batcher import MicroBatcher
 from .cache import LRUCache
@@ -91,7 +95,7 @@ TIERS = ("index", "cache", "approx", "compute")
 because a cached entry is strictly cheaper than an index row lookup; the
 name order here mirrors the architecture diagram: index → cache →
 monte-carlo approx → exact compute).  The ``approx`` tier only answers
-queries whose ``approx``/``max_error`` policy admits an estimate, and its
+requests whose ``approx``/``max_error`` policy admits an estimate, and its
 answers are never written back to the exact cache or index."""
 
 
@@ -102,15 +106,9 @@ long-lived service (retaining every sample would grow without limit)."""
 
 
 class TierStats:
-    """Hit count, streaming totals and recent latency samples for one tier.
-
-    Since the observability refactor this is a thin view over two registry
-    instruments — a ``tier_hits`` counter and a ``tier_latency_seconds``
-    histogram — but it exposes the historical attributes (``count``,
-    ``total``, ``seconds``) with bit-identical values: the histogram's
-    total accumulates ``+= elapsed`` in the same order the old dataclass
-    field did, and the sample window has the same ``SAMPLE_WINDOW`` bound.
-    """
+    """Hit count and latency for one tier: a view over two registry
+    instruments, a ``tier_hits`` counter and a ``tier_latency_seconds``
+    histogram (whose total accumulates ``+= elapsed`` in recording order)."""
 
     __slots__ = ("_hits", "_latency")
 
@@ -131,15 +129,6 @@ class TierStats:
         return self._latency.total
 
     @property
-    def seconds(self) -> deque:
-        """The bounded raw-sample window (read-only; do not mutate)."""
-        return self._latency._samples
-
-    @property
-    def total_seconds(self) -> float:
-        return self.total
-
-    @property
     def mean_seconds(self) -> float:
         count = self.count
         return self.total / count if count else 0.0
@@ -154,9 +143,7 @@ class ServiceStats:
     through the ``record``/``note_*`` methods, which hold the registry
     lock, so the invariant *sum of tier hits == queries* holds at every
     instant even under concurrent recording — a :meth:`snapshot` taken
-    mid-traffic is internally consistent.  The historical attributes
-    (``queries``, ``updates``, ``refreshed_rows``) remain as properties
-    with bit-identical values; ``tiers`` is kept as a deprecated view.
+    mid-traffic is internally consistent.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -186,19 +173,6 @@ class ServiceStats:
     @property
     def refreshed_rows(self) -> int:
         return int(self._refreshed_rows.value)
-
-    @property
-    def tiers(self) -> dict[str, TierStats]:
-        """Deprecated: read :meth:`snapshot` / :meth:`samples` or the
-        ``registry`` instruments instead."""
-        warn_once(
-            "ServiceStats.tiers",
-            "ServiceStats.tiers is deprecated; read snapshot()/samples() or "
-            "the tier_hits / tier_latency_seconds instruments on "
-            "ServiceStats.registry (see the README observability migration "
-            "table)",
-        )
-        return self._tiers
 
     def record(self, tier: str, elapsed: float) -> None:
         with self._lock:
@@ -245,10 +219,12 @@ class SimilarityService:
     ----------
     graph:
         The initial graph (:class:`~repro.graph.digraph.DiGraph` or
-        :class:`~repro.graph.edgelist.EdgeListGraph`).  The service takes a
-        snapshot of its edge set; labels keep resolving through the
-        original object (the vertex set is fixed — the service mutates
-        edges, not vertices).
+        :class:`~repro.graph.edgelist.EdgeListGraph`), which the service
+        wraps in its own :class:`~repro.graph.versioned.VersionedGraph`,
+        or a ``VersionedGraph`` to share — :meth:`Engine.serve
+        <repro.engine.Engine.serve>` passes the session's.  Labels keep
+        resolving through the original object (the vertex set is fixed —
+        mutations change edges, not vertices).
     index:
         Optional precomputed index for the *current* graph (built with
         :func:`~repro.service.index.build_index` or loaded with
@@ -282,35 +258,25 @@ class SimilarityService:
     fingerprints:
         Optional :class:`~repro.service.fingerprints.FingerprintIndex`
         sampled from the *current* graph (damping and vertex count must
-        match).  Enables the Monte-Carlo ``approx`` tier for queries that
-        pass ``approx=True`` or a satisfiable ``max_error``; mutations
+        match).  Enables the Monte-Carlo ``approx`` tier for requests that
+        set ``approx=True`` or a satisfiable ``max_error``; mutations
         stale it until :meth:`resample_fingerprints`.
-    transition:
-        Optional prebuilt :class:`~repro.core.backends.TransitionOperator`
-        for the *initial* graph on the service's backend — the engine
-        session's artifact-reuse seam (``engine.serve()`` passes its shared
-        operator so the compute tier never rebuilds it).  Mutations retire
-        it like any other version-stamped artifact.
-    label_graph:
-        Optional graph used for label resolution (``index_of``/``label_of``)
-        in place of ``graph``.  The engine session passes its original
-        labelled graph here when serving a *mutated* session: ``graph``
-        then carries the current edge set (an integer-labelled overlay)
-        while queries keep resolving through the caller's labels.  Vertex
-        ids must coincide (the vertex count is validated).
     catalog:
         Optional :class:`~repro.catalog.IndexCatalog` to serve from — the
         durable successor of ``index`` (pass one or the other, not both).
-        ``graph`` must then be the *base* graph the catalog was built on:
-        the service validates the catalog's graph fingerprint and config
-        digest (:class:`~repro.exceptions.ConfigurationError` on
-        mismatch), opens the base segment memory-mapped, splices in the
-        committed rows, replays the edge log, and resumes at the logged
+        ``graph`` must then be the *base* graph the catalog was built on,
+        still at version 0: the service validates the catalog's graph
+        fingerprint and config digest
+        (:class:`~repro.exceptions.ConfigurationError` on mismatch), opens
+        the base segment memory-mapped, splices in the committed rows,
+        replays the edge log onto the graph, and resumes at the logged
         version with exactly the pre-shutdown dirty set — answers are
-        bit-identical to the process that wrote the catalog.  While
-        attached, every edge mutation is durably logged and every index
-        merge is committed as a row-log record, so the service can be
-        killed at any instant and restarted the same way.
+        bit-identical to the process that wrote the catalog.  The edge log
+        becomes the graph's journal: every later mutation, through this
+        service or anything sharing its graph, is durably logged before it
+        applies, and every index merge is committed as a row-log record,
+        so the service can be killed at any instant and restarted the same
+        way.
     """
 
     def __init__(
@@ -328,8 +294,6 @@ class SimilarityService:
         auto_warm: bool = True,
         workers: Optional[int] = None,
         fingerprints: Optional[FingerprintIndex] = None,
-        transition=None,
-        label_graph=None,
         catalog=None,
         plan_digest: Optional[str] = None,
         slow_query_capacity: int = 32,
@@ -345,26 +309,12 @@ class SimilarityService:
         self.auto_warm = auto_warm
         self.workers = resolve_workers(workers)
 
-        self._lock = threading.RLock()
-        if label_graph is not None and label_graph.num_vertices != graph.num_vertices:
-            raise ConfigurationError(
-                f"label graph covers {label_graph.num_vertices} vertices, "
-                f"served graph has {graph.num_vertices}"
-            )
-        self._graph = label_graph if label_graph is not None else graph
+        if not isinstance(graph, VersionedGraph):
+            graph = VersionedGraph(graph)
+        self._graph = graph
+        self._lock = graph.lock
         self._n = graph.num_vertices
-        self._edges: set[tuple[int, int]] = {
-            (int(source), int(target)) for source, target in graph.edges()
-        }
-        self._version = 0
         self._dirty: set[int] = set()
-        self._compute_graph: Optional[EdgeListGraph] = None
-        if transition is not None and transition.n != self._n:
-            raise ConfigurationError(
-                f"prebuilt transition covers {transition.n} vertices, "
-                f"service graph has {self._n}"
-            )
-        self._transition = transition
         self._executor: Optional[ParallelExecutor] = None
         self._pool_disabled = False
         self.pool_failures = 0
@@ -392,20 +342,23 @@ class SimilarityService:
         self._index: Optional[SimilarityStore] = None
         self._row_version: Optional[np.ndarray] = None
         self._catalog = None
+        self._fingerprints: Optional[FingerprintIndex] = None
+        self._fingerprint_version: int = -1
         if catalog is not None and index is not None:
             raise ConfigurationError(
                 "pass either index= or catalog=, not both: a catalog "
                 "restores its own index"
             )
-        if index is not None:
-            self.attach_index(index)
-        if catalog is not None:
-            self._restore_from_catalog(catalog, graph)
-
-        self._fingerprints: Optional[FingerprintIndex] = None
-        self._fingerprint_version: int = -1
-        if fingerprints is not None:
-            self.attach_fingerprints(fingerprints)
+        with self._lock:
+            # Fingerprints first: they describe the graph before any
+            # replayed edge log, which then stales them.
+            if fingerprints is not None:
+                self.attach_fingerprints(fingerprints)
+            if index is not None:
+                self.attach_index(index)
+            if catalog is not None:
+                self._restore_from_catalog(catalog)
+            graph.subscribe(self._on_mutation)
 
     # ------------------------------------------------------------------ #
     # Graph state
@@ -417,15 +370,14 @@ class SimilarityService:
 
     @property
     def num_edges(self) -> int:
-        """Number of distinct directed edges in the served graph."""
-        with self._lock:
-            return len(self._edges)
+        """Edge count at the current version (see
+        :attr:`VersionedGraph.num_edges`)."""
+        return self._graph.num_edges
 
     @property
     def version(self) -> int:
         """Graph version; bumped by every effective edge mutation."""
-        with self._lock:
-            return self._version
+        return self._graph.version
 
     @property
     def dirty_vertices(self) -> frozenset[int]:
@@ -433,22 +385,14 @@ class SimilarityService:
         with self._lock:
             return frozenset(self._dirty)
 
-    def current_graph(self) -> EdgeListGraph:
-        """The served graph at the current version, as an edge list."""
-        with self._lock:
-            if self._compute_graph is None:
-                self._compute_graph = edge_list_from_pairs(
-                    self._n,
-                    self._edges,
-                    name=getattr(self._graph, "name", ""),
-                )
-            return self._compute_graph
+    def current_graph(self):
+        """The served graph at the current version (see
+        :meth:`VersionedGraph.current`)."""
+        return self._graph.current()
 
     def has_edge(self, source: Hashable, target: Hashable) -> bool:
         """Whether the directed edge exists in the served graph."""
-        edge = (self._graph.index_of(source), self._graph.index_of(target))
-        with self._lock:
-            return edge in self._edges
+        return self._graph.has_edge(source, target)
 
     # ------------------------------------------------------------------ #
     # Index management
@@ -470,36 +414,26 @@ class SimilarityService:
         """The attached durable catalog, if any."""
         return self._catalog
 
-    def _restore_from_catalog(self, catalog, graph) -> None:
+    def _restore_from_catalog(self, catalog) -> None:
         """Resume exactly where the catalog's writer stopped.
 
-        Called from the constructor with ``graph`` the catalog's *base*
-        graph.  The restored store attaches through :meth:`attach_index`
-        (which validates damping/iterations like any other index), the
-        edge log replays onto the edge overlay, and the dirty set is
+        Called from the constructor, under the graph lock.  The restored
+        store attaches through :meth:`attach_index` (which validates
+        damping/iterations like any other index), the edge log replays
+        onto the graph and becomes its journal, and the dirty set is
         rebuilt as every endpoint whose latest logged mutation outruns its
         persisted row version — rows refreshed-and-committed before the
         shutdown come back warm, everything else lazily recomputes, so
         served answers are bit-identical to the pre-shutdown process.
         """
-        state = catalog.restore(graph)
+        state = catalog.restore(self._graph.base)
         self.attach_index(state.store)
+        self._graph.attach_journal(catalog, state.edge_ops, state.log_version)
         self._row_version = state.row_versions
         last_op: dict[int, int] = {}
-        for op, source, target, version in state.edge_ops:
-            edge = (int(source), int(target))
-            if op == "add":
-                self._edges.add(edge)
-            else:
-                self._edges.discard(edge)
-            for endpoint in edge:
+        for _, source, target, version in state.edge_ops:
+            for endpoint in (int(source), int(target)):
                 last_op[endpoint] = max(last_op.get(endpoint, 0), int(version))
-        self._version = state.log_version
-        if state.edge_ops:
-            # Any prebuilt transition/compute-graph covers the base graph
-            # only; the replayed overlay supersedes them.
-            self._compute_graph = None
-            self._transition = None
         self._dirty = {
             endpoint
             for endpoint, version in last_op.items()
@@ -535,7 +469,9 @@ class SimilarityService:
             )
         with self._lock:
             self._index = index
-            self._row_version = np.full(self._n, self._version, dtype=np.int64)
+            self._row_version = np.full(
+                self._n, self._graph.version, dtype=np.int64
+            )
 
     def build_index(
         self,
@@ -591,22 +527,22 @@ class SimilarityService:
                 )
             # Serve labels through the original graph, not the edge-list
             # snapshot.
-            index.graph = self._graph
+            index.graph = self._graph.base
             return index
 
         for _ in range(2):
             with self._lock:
-                version = self._version
-                graph = self.current_graph()
+                version = self._graph.version
+                graph = self._graph.current()
             index = sweep(graph)
             with self._lock:
-                if self._version != version:
+                if self._graph.version != version:
                     continue  # a mutation raced the sweep; rebuild
                 self.attach_index(index)
                 self._dirty.clear()
                 return index
         with self._lock:  # final attempt: block mutations, guarantee progress
-            index = sweep(self.current_graph())
+            index = sweep(self._graph.current())
             self.attach_index(index)
             self._dirty.clear()
             return index
@@ -640,7 +576,7 @@ class SimilarityService:
             )
         with self._lock:
             self._fingerprints = fingerprints
-            self._fingerprint_version = self._version
+            self._fingerprint_version = self._graph.version
 
     def resample_fingerprints(
         self,
@@ -661,8 +597,8 @@ class SimilarityService:
         approximate traffic keep falling through to exact compute).
         """
         with self._lock:
-            version = self._version
-            graph = self.current_graph()
+            version = self._graph.version
+            graph = self._graph.current()
             current = self._fingerprints
         if num_walks is None:
             num_walks = current.num_walks if current is not None else 128
@@ -684,7 +620,7 @@ class SimilarityService:
             seed=seed,
         )
         with self._lock:
-            if self._version != version:
+            if self._graph.version != version:
                 return None
             self._fingerprints = fingerprints
             self._fingerprint_version = version
@@ -694,7 +630,7 @@ class SimilarityService:
         # Caller holds the service lock.
         return (
             self._fingerprints is not None
-            and self._fingerprint_version == self._version
+            and self._fingerprint_version == self._graph.version
         )
 
     def _approx_admitted(
@@ -825,13 +761,14 @@ class SimilarityService:
             hit_tier: Optional[str] = None
             approximate = False
             with self._lock:
+                version = self._graph.version
                 cached = self.cache.get(key)
                 if cached is not None:
                     responses[position] = self._respond(
                         request,
                         self._relabel(cached, request.query),
                         "cache",
-                        self._version,
+                        version,
                     )
                     ended = time.perf_counter()
                     self.stats.record("cache", ended - started)
@@ -839,7 +776,7 @@ class SimilarityService:
                 elif self._index_row_fresh(vertex) and k <= self.index_k:
                     ranking = self._rank_from_index(request.query, vertex, k)
                     responses[position] = self._respond(
-                        request, ranking, "index", self._version
+                        request, ranking, "index", version
                     )
                     self.cache.put(key, ranking)
                     ended = time.perf_counter()
@@ -847,9 +784,9 @@ class SimilarityService:
                     hit_tier = "index"
                 elif self._approx_admitted(request.approx, request.max_error):
                     approximate = True
-                    approx_version = self._version
+                    approx_version = version
                 elif version_before is None:
-                    version_before = self._version
+                    version_before = version
             if hit_tier is not None:
                 tree = None
                 trace = traces.get(position)
@@ -937,7 +874,7 @@ class SimilarityService:
             with self._lock:
                 # Version gate: write computed answers back only when no
                 # mutation raced the computation (see class docstring).
-                if self._version == version_before:
+                if self._graph.version == version_before:
                     for (position, request, vertex, k, _), ranking in zip(
                         misses, rankings
                     ):
@@ -982,103 +919,34 @@ class SimilarityService:
         return [response for response in responses if response is not None]
 
     # ------------------------------------------------------------------ #
-    # Query path — deprecated kwarg adapters
+    # Query path — label adapters
     # ------------------------------------------------------------------ #
-    def top_k(
-        self,
-        query: Hashable,
-        k: Optional[int] = None,
-        approx: Optional[bool] = None,
-        max_error: Optional[float] = None,
-    ) -> RankedList:
-        """Answer one top-k query through the tiered path.
-
-        Thin adapter over :meth:`query`; the ``approx``/``max_error``
-        kwargs are deprecated in favour of the explicit
-        :class:`~repro.service.requests.QueryRequest` fields (see the
-        README migration table).  Errors keep their historical types
-        (``ConfigurationError``, ``VertexNotFoundError``); the request
-        pipeline's typed :class:`~repro.service.requests.ServeError` is
-        raised by :meth:`query`/:meth:`query_many` instead.
-        """
-        return self._legacy_query_many(
-            [query], k=k, approx=approx, max_error=max_error
-        )[0]
+    def top_k(self, query: Hashable, k: Optional[int] = None) -> RankedList:
+        """Answer one top-k query (adapter over :meth:`query`, raising its
+        :class:`~repro.service.requests.ServeError`)."""
+        return self.top_k_many([query], k=k)[0]
 
     def top_k_many(
-        self,
-        queries: Sequence[Hashable],
-        k: Optional[int] = None,
-        approx: Optional[bool] = None,
-        max_error: Optional[float] = None,
+        self, queries: Sequence[Hashable], k: Optional[int] = None
     ) -> list[RankedList]:
-        """Answer a batch of queries (adapter over :meth:`query_many`).
-
-        One ``k``/``approx``/``max_error`` policy applies to the whole
-        batch — the per-request policy of :class:`QueryRequest` is the
-        reason this surface is being migrated.  ``approx``/``max_error``
-        emit :class:`DeprecationWarning`; plain ``top_k_many(queries, k)``
-        remains the supported convenience form.
-        """
-        return self._legacy_query_many(
-            queries, k=k, approx=approx, max_error=max_error
+        """Answer a batch of queries (adapter over :meth:`query_many`)."""
+        responses = self.query_many(
+            [QueryRequest(query=query, k=k) for query in queries]
         )
-
-    def _legacy_query_many(
-        self,
-        queries: Sequence[Hashable],
-        k: Optional[int],
-        approx: Optional[bool],
-        max_error: Optional[float],
-    ) -> list[RankedList]:
-        if approx is not None or max_error is not None:
-            warnings.warn(
-                "passing approx=/max_error= to top_k/top_k_many is "
-                "deprecated; build a QueryRequest and call query()/"
-                "query_many() instead (see the README migration table)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if k is not None:
-            try:
-                k = int(k)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"k must be a positive int, got {k!r}"
-                ) from None
-        request_template = dict(k=k, approx=approx, max_error=max_error)
-        try:
-            responses = self.query_many(
-                [QueryRequest(query=query, **request_template) for query in queries]
-            )
-        except ServeError as error:
-            # The adapters promised these exception types long before the
-            # typed codes existed; keep that contract (migration table).
-            raise error.as_legacy() from None
         return [response.ranking() for response in responses]
 
     # ------------------------------------------------------------------ #
     # Incremental updates
     # ------------------------------------------------------------------ #
     def add_edge(self, source: Hashable, target: Hashable) -> bool:
-        """Insert a directed edge; returns ``False`` when already present."""
-        edge = (self._graph.index_of(source), self._graph.index_of(target))
-        with self._lock:
-            if edge in self._edges:
-                return False
-            self._edges.add(edge)
-            self._note_mutation(edge, "add")
-            return True
+        """Insert a directed edge; returns ``False`` when already present.
+        An attached catalog logs it first: if that fails, nothing changes."""
+        return self._graph.add_edge(source, target)
 
     def remove_edge(self, source: Hashable, target: Hashable) -> bool:
-        """Delete a directed edge; returns ``False`` when absent."""
-        edge = (self._graph.index_of(source), self._graph.index_of(target))
-        with self._lock:
-            if edge not in self._edges:
-                return False
-            self._edges.remove(edge)
-            self._note_mutation(edge, "remove")
-            return True
+        """Delete a directed edge; returns ``False`` when absent (logged
+        like :meth:`add_edge`)."""
+        return self._graph.remove_edge(source, target)
 
     def refresh(self, vertices: Optional[Iterable[Hashable]] = None) -> int:
         """Eagerly recompute stale index rows; return how many were refreshed.
@@ -1106,32 +974,25 @@ class SimilarityService:
             np.asarray(targets, dtype=np.int64)
         )
         with self._lock:
-            if self._version != version:
+            if self._graph.version != version:
                 return 0
             self._merge_fresh(targets, rows)
             self._dirty.difference_update(targets)
         self.stats.note_refreshed(len(targets))
         return len(targets)
 
-    def _note_mutation(self, edge: tuple[int, int], op: str) -> None:
-        # Caller holds the service lock.
-        self._version += 1
-        if self._catalog is not None:
-            # Log before the in-memory state changes: a logged-but-unapplied
-            # mutation is recoverable on restart (the endpoints restore as
-            # dirty), an applied-but-unlogged one would be silently lost.
-            self._catalog.append_edge(op, edge[0], edge[1], self._version)
-        self._compute_graph = None
-        self._transition = None
+    def _on_mutation(self, endpoints) -> None:
+        """Stale what the service derived from the old edges (called by the
+        graph, under its lock, after a mutation through any owner)."""
         if self._executor is not None:
             # The pool is bound to the now-stale transition operator.  A
             # reader racing this shutdown falls back to a serial compute
             # (see _compute_rows_versioned); its result is version-gated
             # away anyway.  wait=False: never block the mutation (which
-            # holds the service lock) on an in-flight compute.
+            # holds the graph lock) on an in-flight compute.
             self._executor.close(wait=False)
             self._executor = None
-        self._dirty.update(edge)
+        self._dirty.update(endpoints)
         # SimRank edits are global: every cached ranking and every index row
         # is potentially affected, so invalidation is version-based and
         # total.  Recomputation, not invalidation, is what stays local.  The
@@ -1139,7 +1000,7 @@ class SimilarityService:
         # their stored scores are the most wrong, and keeping them would
         # only occupy memory until refresh()/lazy recompute replaces them.
         if self._index is not None:
-            self._index.invalidate_rows(sorted(set(edge)))
+            self._index.invalidate_rows(endpoints)
         self.cache.invalidate()
         self.stats.note_update()
 
@@ -1149,8 +1010,7 @@ class SimilarityService:
     def _current_transition(self):
         """The transition operator, executor and version, as one snapshot."""
         with self._lock:
-            if self._transition is None:
-                self._transition = self._engine.transition(self.current_graph())
+            transition, _ = self._graph.transition(self._engine)
             if (
                 self._executor is None
                 and self.workers > 1
@@ -1160,14 +1020,14 @@ class SimilarityService:
                 # with live reader threads, and forking one can clone locks
                 # in a held state (see parallel.executor._pool_context).
                 self._executor = ParallelExecutor(
-                    self._transition,
+                    transition,
                     damping=self.damping,
                     iterations=self.iterations,
                     backend=self._engine,
                     workers=self.workers,
                     context="forkserver",
                 )
-            return self._transition, self._executor, self._version
+            return transition, self._executor, self._graph.version
 
     def _compute_rows_versioned(
         self, indices: np.ndarray
@@ -1220,7 +1080,7 @@ class SimilarityService:
         return (
             self._index is not None
             and self._row_version is not None
-            and int(self._row_version[vertex]) == self._version
+            and int(self._row_version[vertex]) == self._graph.version
         )
 
     def _merge_fresh(self, vertices: Sequence[int], rows: np.ndarray) -> None:
@@ -1239,10 +1099,11 @@ class SimilarityService:
             fresh = rows[position].copy()
             fresh[vertex] = 0.0
             parts.append(row_top_k(fresh, self.index_k))
+        version = self._graph.version
         self._index.merge_row_parts(vertices, parts)
-        self._row_version[vertices] = self._version
+        self._row_version[vertices] = version
         if self._catalog is not None:
-            self._catalog.append_delta(self._version, vertices, parts)
+            self._catalog.append_delta(version, vertices, parts)
 
     def _rank_from_index(self, query: Hashable, vertex: int, k: int) -> RankedList:
         entries = self._index.top_k(vertex, k=k)  # type: ignore[union-attr]
@@ -1300,7 +1161,6 @@ class SimilarityService:
                 ErrorCode.UNKNOWN_VERTEX,
                 f"unknown vertex {request.query!r}",
                 request_id=request.request_id,
-                vertex=request.query,
             ) from error
         except TypeError as error:  # unhashable label (e.g. a list)
             raise ServeError(

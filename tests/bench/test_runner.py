@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import _ALIASES, available_methods
 from repro.bench.runner import (
-    ALGORITHMS,
     ExperimentReport,
     measurement_row,
     run_algorithm,
@@ -15,9 +15,11 @@ from repro.exceptions import ConfigurationError
 
 class TestRunAlgorithm:
     def test_all_registered_algorithms_run(self, paper_graph):
-        for name in ALGORITHMS:
-            if name == "mtx-sr":
+        for name in (*available_methods(), *_ALIASES):
+            if name in ("mtx-sr", "mtx-svd"):
                 kwargs: dict[str, object] = {"damping": 0.6}
+            elif name == "monte-carlo":
+                kwargs = {"damping": 0.6, "num_walks": 20}
             elif name.startswith("p-rank"):
                 # P-Rank uses separate in/out damping factors.
                 kwargs = {"damping_in": 0.6, "damping_out": 0.6, "iterations": 2}

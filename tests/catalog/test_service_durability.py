@@ -13,6 +13,7 @@ Two crash models:
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import subprocess
@@ -156,6 +157,71 @@ class TestAbandonAndRestore:
             assert [label for label, _ in response.entries] == expected.labels()
             assert [score for _, score in response.entries] == expected.scores()
         _assert_bit_identical(restored, oracle, catalog_graph.num_vertices)
+
+
+def _enospc(self, *args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedLogAppend:
+    """An edge-log append that fails leaves the graph and every tier as
+    they were: the edge is logged before it applies, never after."""
+
+    QUERY = 1
+
+    def _assert_unchanged(self, service, catalog, edge, present, oracle):
+        assert service.version == 0
+        assert service.has_edge(*edge) is present
+        assert service.dirty_vertices == frozenset()
+        assert catalog.read_edge_log() == []
+        # The warmed cache must not answer for a graph it no longer matches.
+        response = service.query(QueryRequest(query=self.QUERY, k=5))
+        assert response.graph_version == 0
+        assert response.entries == oracle.top_k(self.QUERY, k=5).entries
+
+    @pytest.mark.parametrize("mutation", ["add_edge", "remove_edge"])
+    def test_service_mutation(
+        self, mutation, tmp_path, catalog_graph, catalog_index, monkeypatch
+    ):
+        catalog = IndexCatalog.create(tmp_path / "catalog", catalog_index)
+        service = SimilarityService(
+            catalog_graph, catalog=catalog, k=K, damping=DAMPING,
+            iterations=ITERATIONS, workers=1,
+        )
+        (novel,) = _novel_edges(catalog_graph, 1)
+        edge = novel if mutation == "add_edge" else next(iter(catalog_graph.edges()))
+        present = service.has_edge(*edge)
+        service.query(QueryRequest(query=self.QUERY, k=5))  # warm the cache
+        monkeypatch.setattr(IndexCatalog, "append_edge", _enospc)
+        with pytest.raises(OSError) as excinfo:
+            getattr(service, mutation)(*edge)
+        assert excinfo.value.errno == errno.ENOSPC
+        self._assert_unchanged(
+            service, catalog, edge, present, _oracle(catalog_graph)
+        )
+
+    def test_engine_mutation(
+        self, tmp_path, catalog_graph, catalog_index, monkeypatch
+    ):
+        from repro import Engine, EngineConfig
+
+        IndexCatalog.create(tmp_path / "catalog", catalog_index)
+        config = EngineConfig(
+            damping=DAMPING, iterations=ITERATIONS, index_k=INDEX_K,
+            workers=1, catalog_path=str(tmp_path / "catalog"),
+        )
+        with Engine(catalog_graph, config) as engine:
+            service = engine.serve(k=K)
+            assert service.catalog is not None
+            (edge,) = _novel_edges(catalog_graph, 1)
+            service.query(QueryRequest(query=self.QUERY, k=5))
+            monkeypatch.setattr(IndexCatalog, "append_edge", _enospc)
+            with pytest.raises(OSError):
+                engine.add_edge(*edge)
+            assert engine.version == 0
+            self._assert_unchanged(
+                service, service.catalog, edge, False, _oracle(catalog_graph)
+            )
 
 
 CHILD_SCRIPT = textwrap.dedent(

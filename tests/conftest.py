@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.graph.builders import from_in_neighbor_sets
 from repro.graph.generators import citation_network, gnp_random, web_graph
+
+
+settings.register_profile("long", max_examples=500, stateful_step_count=80)
+"""The longer budget CI runs the model-based tests under
+(``--hypothesis-profile=long``); tier-1 keeps hypothesis's defaults."""
 
 
 @pytest.fixture(autouse=True)

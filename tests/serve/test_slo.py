@@ -18,7 +18,7 @@ class TestSLOController:
         controller = SLOController(None)
         _feed(controller, 10_000.0, 100)
         assert not controller.degraded
-        assert controller.observed == 0  # disabled: nothing recorded
+        assert controller.snapshot()["observed"] == 0  # disabled: nothing recorded
 
     def test_holds_until_min_samples(self):
         controller = SLOController(10.0, min_samples=20)

@@ -17,11 +17,13 @@ pending-map under concurrent submit/flush.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import Engine, EngineConfig
 from repro.graph.generators.rmat import rmat_edge_list
 from repro.service import LRUCache, MicroBatcher, SimilarityService, build_index
 from repro.service.service import ServiceStats
@@ -173,6 +175,87 @@ class TestStress:
         )
 
 
+class TestEngineAndServiceUnderThreads:
+    def test_mutators_on_both_owners_with_readers_on_both(self):
+        # One mutator through the engine, one through its service, readers
+        # on both: the shared graph keeps the two owners on one version.
+        graph = rmat_edge_list(6, 3 * 64, seed=23)
+        n = graph.num_vertices
+        config = EngineConfig(
+            damping=DAMPING, iterations=ITERATIONS, index_k=INDEX_K, workers=1
+        )
+        engine = Engine(graph, config)
+        engine.build_index()
+        service = engine.serve(k=K)
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def mutator(owner, worker_seed: int) -> None:
+            rng = random.Random(worker_seed)
+            try:
+                for _ in range(25):
+                    source, target = rng.randrange(n), rng.randrange(n)
+                    if source != target and not owner.add_edge(source, target):
+                        owner.remove_edge(source, target)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        def reader(worker_seed: int) -> None:
+            rng = random.Random(worker_seed)
+            try:
+                while not stop.is_set():
+                    if rng.random() < 0.3:
+                        engine.top_k([rng.randrange(n)], k=K)
+                    else:
+                        service.top_k(rng.randrange(n))
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        mutators = [
+            threading.Thread(target=mutator, args=(engine, 1)),
+            threading.Thread(target=mutator, args=(service, 2)),
+        ]
+        readers = [threading.Thread(target=reader, args=(10 + i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in mutators + readers:
+                thread.start()
+            for thread in mutators:
+                thread.join(timeout=120)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in mutators + readers)
+        assert errors == []
+        snapshot = service.stats.snapshot()
+        assert snapshot["queries"] > 0
+        assert snapshot["queries"] == sum(
+            snapshot[f"{tier}_hits"] for tier in ("index", "cache", "approx", "compute")
+        )
+
+        # Quiesced: both owners report one graph, and answer like a rebuild.
+        assert engine.version == service.version > 0
+        final = service.current_graph()
+        assert set(engine.current_graph().edges()) == set(final.edges())
+        while service.dirty_vertices:
+            service.refresh()
+        rebuilt = SimilarityService(
+            final,
+            build_index(final, index_k=INDEX_K, damping=DAMPING, iterations=ITERATIONS),
+            k=K,
+            damping=DAMPING,
+            iterations=ITERATIONS,
+        )
+        for query in range(n):
+            expected = rebuilt.top_k(query).entries
+            assert service.top_k(query).entries == expected
+            assert engine.top_k([query], k=K)[0].entries == expected
+        engine.close()
+
+
 class TestSharedStateRegressions:
     def test_service_stats_record_is_atomic_under_threads(self):
         stats = ServiceStats()
@@ -198,7 +281,7 @@ class TestSharedStateRegressions:
             + snapshot["compute_hits"]
             == 12000
         )
-        assert stats.tiers["index"].count == 4000
+        assert snapshot["index_hits"] == 4000
 
     def test_lru_cache_threads_never_exceed_capacity(self):
         cache = LRUCache(32)

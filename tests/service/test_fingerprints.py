@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.monte_carlo import sample_fingerprints
 from repro.core.backends import get_backend
 from repro.exceptions import ConfigurationError
-from repro.service import FingerprintIndex, build_index
+from repro.service import FingerprintIndex, QueryRequest, build_index
 from repro.service.fingerprints import QUERY_BLOCK_ELEMENTS
 
 ITERATIONS = 25
@@ -145,7 +145,9 @@ class TestAccuracy:
         )
         overlaps = []
         for query in range(0, served_graph.num_vertices, 7):
-            estimated = set(approx.top_k(query, approx=True).labels())
+            estimated = set(
+                approx.query(QueryRequest(query=query, approx=True)).labels()
+            )
             reference = set(exact.top_k(query).labels())
             overlaps.append(len(estimated & reference) / 10)
         assert float(np.mean(overlaps)) >= 0.9

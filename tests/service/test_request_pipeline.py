@@ -1,11 +1,9 @@
-"""The request/response pipeline: typed errors, adapters, deprecation.
+"""The request/response pipeline: typed errors and the label adapters.
 
 ``query()``/``query_many()`` over :class:`QueryRequest` are the single
-pipeline every caller shares; ``top_k``/``top_k_many`` are deprecated
-adapters over it.  These tests pin the equivalences and contracts the
-migration relies on: identical answers through both surfaces, per-request
-policy inside one batch, warnings only for the deprecated kwargs, legacy
-exception types from the adapters, and typed codes from the new API.
+pipeline every caller shares; ``top_k``/``top_k_many`` are thin adapters
+over it.  These tests pin the contracts: identical answers through both
+surfaces, per-request policy inside one batch, and typed codes.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import warnings
 
 import pytest
 
-from repro.exceptions import ConfigurationError, VertexNotFoundError
 from repro.service import (
     ErrorCode,
     FingerprintIndex,
@@ -92,7 +89,6 @@ class TestRequestPipeline:
                 [QueryRequest(query=0, k=10), QueryRequest(query="ghost")]
             )
         assert excinfo.value.code is ErrorCode.UNKNOWN_VERTEX
-        assert excinfo.value.vertex == "ghost"
         # Validation runs before any tier probe: no partial statistics.
         assert service.stats.snapshot() == before
 
@@ -138,21 +134,15 @@ class TestTypedErrors:
 
 
 class TestDeprecatedAdapters:
+    """``top_k``/``top_k_many``: label adapters, no longer deprecated now
+    that their ``approx``/``max_error`` kwargs are gone."""
+
     def test_plain_top_k_does_not_warn(self, served_graph):
         service = make_service(served_graph)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             service.top_k(0, k=5)
             service.top_k_many([1, 2], k=5)
-
-    def test_approx_kwarg_warns(self, served_graph):
-        service = make_service(
-            served_graph, with_index=False, with_fingerprints=True, cache_size=0
-        )
-        with pytest.warns(DeprecationWarning, match="QueryRequest"):
-            service.top_k(0, k=5, approx=True)
-        with pytest.warns(DeprecationWarning, match="QueryRequest"):
-            service.top_k_many([1], k=5, max_error=0.1)
 
     def test_adapter_matches_request_api(self, served_graph):
         service = make_service(served_graph)
@@ -162,14 +152,15 @@ class TestDeprecatedAdapters:
         )
         assert [r.entries for r in legacy] == [r.entries for r in modern]
 
-    def test_legacy_exception_types_survive(self, served_graph):
+    def test_adapters_raise_typed_errors(self, served_graph):
         service = make_service(served_graph)
-        with pytest.raises(VertexNotFoundError):
+        with pytest.raises(ServeError) as unknown:
             service.top_k("ghost", k=5)
-        with pytest.raises(ConfigurationError):
-            service.top_k(0, k="not-a-number")
-        with pytest.raises(ConfigurationError):
-            service.top_k(0, k=-3)
+        assert unknown.value.code is ErrorCode.UNKNOWN_VERTEX
+        for bad_k in ("not-a-number", -3):
+            with pytest.raises(ServeError) as bad:
+                service.top_k_many([0], k=bad_k)
+            assert bad.value.code is ErrorCode.BAD_REQUEST
 
 
 def _find_span(tree, name):

@@ -9,7 +9,13 @@ from repro.api import simrank, simrank_top_k
 from repro.baselines.topk import top_k_from_result
 from repro.exceptions import ConfigurationError
 from repro.graph.digraph import GraphBuilder
-from repro.service import SimilarityService, build_index
+from repro.service import (
+    ErrorCode,
+    QueryRequest,
+    ServeError,
+    SimilarityService,
+    build_index,
+)
 from repro.core.similarity_store import SimilarityStore
 
 ITERATIONS = 25
@@ -221,8 +227,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_service(served_graph, with_index=False, k=0)
         service = make_service(served_graph, with_index=False)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ServeError) as excinfo:
             service.top_k(0, k=0)
+        assert excinfo.value.code is ErrorCode.BAD_REQUEST
 
     def test_labels_resolve_through_original_graph(self):
         builder = GraphBuilder()
@@ -277,7 +284,7 @@ class TestApproxTier:
         service = make_service(
             served_graph, with_index=False, cache_size=0, fingerprints=fingerprints
         )
-        ranking = service.top_k(3, approx=True)
+        ranking = service.query(QueryRequest(query=3, approx=True))
         assert len(ranking.entries) == service.k
         snapshot = service.stats.snapshot()
         assert snapshot["approx_hits"] == 1
@@ -300,23 +307,24 @@ class TestApproxTier:
         )
         loose = fingerprints.standard_error * 2
         tight = fingerprints.standard_error / 2
-        service.top_k(1, max_error=loose)
-        service.top_k(2, max_error=tight)
+        service.query(QueryRequest(query=1, max_error=loose))
+        service.query(QueryRequest(query=2, max_error=tight))
         snapshot = service.stats.snapshot()
         assert snapshot["approx_hits"] == 1
         assert snapshot["compute_hits"] == 1
 
     def test_invalid_max_error_rejected(self, served_graph, fingerprints):
         service = make_service(served_graph, fingerprints=fingerprints)
-        with pytest.raises(ConfigurationError):
-            service.top_k(0, max_error=0.0)
+        with pytest.raises(ServeError) as excinfo:
+            service.query(QueryRequest(query=0, max_error=0.0))
+        assert excinfo.value.code is ErrorCode.BAD_REQUEST
 
     def test_exact_tiers_win_over_approx(self, served_graph, fingerprints):
         # With a fresh index attached, an approx-permitted query still takes
         # the (exact, cheaper) index tier; a repeat takes the cache.
         service = make_service(served_graph, fingerprints=fingerprints)
-        service.top_k(5, approx=True)
-        service.top_k(5, approx=True)
+        service.query(QueryRequest(query=5, approx=True))
+        service.query(QueryRequest(query=5, approx=True))
         snapshot = service.stats.snapshot()
         assert snapshot["index_hits"] == 1
         assert snapshot["cache_hits"] == 1
@@ -326,7 +334,7 @@ class TestApproxTier:
         service = make_service(
             served_graph, with_index=False, cache_size=64, fingerprints=fingerprints
         )
-        service.top_k(7, approx=True)
+        service.query(QueryRequest(query=7, approx=True))
         # The follow-up exact query must not see a cached approx entry.
         service.top_k(7)
         snapshot = service.stats.snapshot()
@@ -339,7 +347,8 @@ class TestApproxTier:
             served_graph, with_index=False, cache_size=0, fingerprints=fingerprints
         )
         service.add_edge(0, 64)
-        service.top_k(3, approx=True)  # stale walks: falls through to exact
+        # Stale walks: falls through to exact.
+        service.query(QueryRequest(query=3, approx=True))
         snapshot = service.stats.snapshot()
         assert snapshot["approx_hits"] == 0
         assert snapshot["compute_hits"] == 1
@@ -347,7 +356,7 @@ class TestApproxTier:
         assert resampled is not None
         assert service.fingerprints is resampled
         assert resampled.num_walks == fingerprints.num_walks
-        service.top_k(3, approx=True)
+        service.query(QueryRequest(query=3, approx=True))
         assert service.stats.snapshot()["approx_hits"] == 1
 
     def test_resample_preserves_configuration(self, served_graph):
@@ -387,7 +396,9 @@ class TestApproxTier:
     def test_batch_mixes_tiers_consistently(self, served_graph, fingerprints):
         service = make_service(served_graph, fingerprints=fingerprints)
         service.top_k(11)  # seeds cache + index stats
-        answers = service.top_k_many([11, 12, 13], approx=True)
+        answers = service.query_many(
+            [QueryRequest(query=q, approx=True) for q in (11, 12, 13)]
+        )
         assert [len(answer.entries) for answer in answers] == [10, 10, 10]
         snapshot = service.stats.snapshot()
         assert (

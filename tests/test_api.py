@@ -272,16 +272,6 @@ class TestCapabilitiesRegistry:
         }
         assert series == {"matrix"}
 
-    def test_compat_accessors_mirror_capabilities(self):
-        from repro.api import method_spec
-
-        matrix = method_spec("matrix")
-        assert matrix.accepts_backend is matrix.capabilities.accepts_backend
-        assert matrix.accepts_workers is matrix.capabilities.accepts_workers
-        assert matrix.needs_adjacency is matrix.capabilities.needs_adjacency
-        assert matrix.default_backend == "sparse"
-        assert matrix.backends == ("dense", "sparse")
-
     def test_register_method_is_the_plug_in_point(self, paper_graph):
         from repro.api import METHODS, MethodSpec, register_method
         from repro.baselines.matrix_sr import matrix_simrank
