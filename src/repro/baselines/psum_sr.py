@@ -18,10 +18,13 @@ implemented here and individually switchable:
    threshold are clamped to zero at the end of every iteration, trading
    accuracy for sparsity exactly as in the original paper.
 
-The implementation uses the same numpy primitives as the OIP engine (row
-gathers and ``bincount`` accumulation), so the wall-clock difference between
-psum-SR and OIP-SR reflects the algorithmic difference (sharing vs no
-sharing), not a difference in implementation style.
+The implementation takes one Python step per source vertex per iteration:
+a row gather and sum for the partial sum, then one ``bincount`` over every
+edge for the outer sums.  OIP-SR instead runs blocked sparse products over
+in-neighbour classes (:mod:`repro.core.sharing_engine`), so the wall-clock
+gap between the two mixes the paper's sharing with that difference in
+implementation style; the counted additions are the like-for-like
+comparison.
 """
 
 from __future__ import annotations
@@ -126,9 +129,11 @@ def psum_simrank(
 
     # Per-iteration addition counts implied by the algorithm (not the numpy
     # call pattern): partial sums cost (|I(a)|-1)·n per source, outer sums
-    # cost Σ_b (|I(b)|-1) per source.
+    # cost Σ_b (|I(b)|-1) per source.  Sources with no in-neighbours are
+    # skipped, so they cost neither.
     inner_additions = int(np.maximum(in_degrees - 1, 0).sum()) * n
     outer_additions_per_source = int(np.maximum(in_degrees - 1, 0).sum())
+    outer_additions = int(has_in.sum()) * outer_additions_per_source
 
     essential: Optional[np.ndarray] = None
     if select_essential_pairs:
@@ -181,7 +186,6 @@ def psum_simrank(
             "accuracy": accuracy,
             "essential_pairs": select_essential_pairs,
             "threshold": threshold,
-            "additions_per_iteration": inner_additions
-            + n * outer_additions_per_source,
+            "additions_per_iteration": inner_additions + outer_additions,
         },
     )

@@ -10,7 +10,9 @@ damping factor, so the whole inner/outer partial-sums sharing machinery of
 Section III applies unchanged.  OIP-DSR therefore runs the shared-sums
 engine with ``factor = 1`` and no diagonal pinning to advance ``T_k``, and
 accumulates the exponential series
-``Ŝ_{k+1} = Ŝ_k + e^{-C}·C^{k+1}/(k+1)!·T_{k+1}`` on the side.
+``Ŝ_{k+1} = Ŝ_k + e^{-C}·C^{k+1}/(k+1)!·T_{k+1}`` on the side.  Both stay
+in class space (:class:`~repro.core.sharing_engine.ClassState`) until the
+series is expanded to ``n × n`` once, at the end.
 
 Because the series converges at an exponential (rather than geometric) rate,
 OIP-DSR reaches a target accuracy in far fewer iterations than OIP-SR —
@@ -22,14 +24,15 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from ..graph.digraph import DiGraph
-from ..numerics.norms import max_difference
 from .convergence import ConvergenceTrace
 from .dmst_reduce import check_plan, dmst_reduce
 from .instrumentation import Instrumentation
 from .iteration_bounds import differential_iterations_exact
 from .result import SimRankResult, validate_damping, validate_iterations
-from .sharing_engine import SharingEngine
+from .sharing_engine import ClassState, SharingEngine
 
 __all__ = ["oip_dsr"]
 
@@ -78,24 +81,29 @@ def oip_dsr(
     trace = ConvergenceTrace(model="differential", damping=damping)
     scale = math.exp(-damping)
 
+    n = graph.num_vertices
     with instrumentation.timer.phase("share_sums"):
-        auxiliary = engine.initial_scores()  # T_0 = I
-        scores = scale * engine.initial_scores()  # S_hat_0 = e^{-C} I
+        scores = np.empty((n, n))  # allocated first; see SharingEngine.expand
+        auxiliary = engine.initial_state()  # T_0 = I
+        # S_hat_0 = e^{-C} I, accumulated in class space like T_k.
+        series = ClassState(scale * auxiliary.matrix, scale * auxiliary.diagonal)
         # Note on memory accounting: like the paper's Fig. 6d we track only
-        # the *intermediate* caches (partial sums, outer sums); the n x n
-        # iterates themselves are the output representation and are excluded
-        # for every algorithm alike.
+        # the *intermediate* caches (partial sums, outer sums); the iterates
+        # themselves are the output representation and are excluded for
+        # every algorithm alike.
         coefficient = scale
         for k in range(iterations):
             auxiliary = engine.iterate(auxiliary, factor=1.0, pin_diagonal=False)
             coefficient = coefficient * damping / (k + 1)
-            previous = scores if record_residuals else None
-            scores = scores + coefficient * auxiliary
-            instrumentation.operations.add(
-                "series", graph.num_vertices * graph.num_vertices
+            previous = series
+            series = ClassState(
+                series.matrix + coefficient * auxiliary.matrix,
+                series.diagonal + coefficient * auxiliary.diagonal,
             )
-            if record_residuals and previous is not None:
-                trace.record(max_difference(scores, previous))
+            instrumentation.operations.add("series", n * n)
+            if record_residuals:
+                trace.record(series.max_difference(previous))
+        engine.expand(series, out=scores)
 
     extra: dict[str, object] = {
         "accuracy": accuracy,

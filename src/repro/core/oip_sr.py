@@ -10,7 +10,10 @@ This is the paper's first contribution: conventional SimRank iterations
   tree (outer sharing, Prop. 4),
 
 which lowers the per-iteration cost from ``O(d n²)`` (psum-SR) to
-``O(d' n²)`` with ``d'`` governed by the in-neighbour-set overlap.
+``O(d' n²)`` with ``d'`` governed by the in-neighbour-set overlap.  The
+iterate itself is kept per in-neighbour class, one row and column per
+distinct set (:class:`~repro.core.sharing_engine.ClassState`), and expanded
+to ``n × n`` once, after the last iteration.
 
 Reachable through the unified dispatch entry point as
 ``repro.simrank(graph, method="oip-sr", ...)``; the per-vertex sharing
@@ -32,7 +35,6 @@ from .instrumentation import Instrumentation
 from .iteration_bounds import conventional_iterations
 from .result import SimRankResult, validate_damping, validate_iterations
 from .sharing_engine import SharingEngine
-from ..numerics.norms import max_difference
 
 __all__ = ["oip_sr"]
 
@@ -109,16 +111,19 @@ def oip_sr(
     engine = SharingEngine(graph, plan, instrumentation=instrumentation)
     trace = ConvergenceTrace(model="conventional", damping=damping)
 
-    scores = engine.initial_scores()
+    n = graph.num_vertices
+    scores = np.empty((n, n))  # allocated first; see SharingEngine.expand
+    state = engine.initial_state()
     with instrumentation.timer.phase("share_sums"):
         for _ in range(iterations):
-            updated = engine.iterate(scores, factor=damping, pin_diagonal=True)
+            updated = engine.iterate(state, factor=damping, pin_diagonal=True)
             if threshold > 0.0:
-                updated[updated < threshold] = 0.0
-                np.fill_diagonal(updated, 1.0)
+                updated.matrix[updated.matrix < threshold] = 0.0
+                engine.pin(updated)
             if record_residuals:
-                trace.record(max_difference(updated, scores))
-            scores = updated
+                trace.record(updated.max_difference(state))
+            state = updated
+        engine.expand(state, out=scores)
 
     extra: dict[str, object] = {
         "accuracy": accuracy,

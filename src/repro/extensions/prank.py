@@ -156,8 +156,10 @@ def prank_shared(
     scores = in_engine.initial_scores()
     with instrumentation.timer.phase("share_sums"):
         for _ in range(iterations):
-            in_part = in_engine.iterate(scores, factor=damping_in, pin_diagonal=False)
-            out_part = out_engine.iterate(
+            in_part = in_engine.iterate_vertices(
+                scores, factor=damping_in, pin_diagonal=False
+            )
+            out_part = out_engine.iterate_vertices(
                 scores, factor=damping_out, pin_diagonal=False
             )
             scores = lambda_weight * in_part + (1.0 - lambda_weight) * out_part

@@ -88,6 +88,20 @@ class TestMetadata:
         assert result.extra["threshold"] == 0.01
         assert result.extra["additions_per_iteration"] > 0
 
+    def test_reported_additions_match_the_counter(self, paper_graph):
+        # f, g and i have no in-neighbours: the loop skips them as sources,
+        # so they must not be counted as outer-sum passes either.
+        assert any(paper_graph.in_degree(v) == 0 for v in paper_graph.vertices())
+        result = psum_simrank(paper_graph, damping=0.6, iterations=3)
+        counted = result.instrumentation.operations.total()
+        assert result.extra["additions_per_iteration"] * 3 == counted
+
+    def test_reported_additions_pinned_on_rmat(self, rmat_scale10_graph):
+        # perfbench's traced rmat ``psum_sr.additions_per_iter``.
+        result = psum_simrank(rmat_scale10_graph, damping=0.6, iterations=1)
+        assert result.extra["additions_per_iteration"] == 4_180_143
+        assert result.instrumentation.operations.total() == 4_180_143
+
     def test_memory_stays_linear(self, small_web_graph):
         result = psum_simrank(small_web_graph, damping=0.6, iterations=3)
         assert result.peak_intermediate_values <= 2 * small_web_graph.num_vertices

@@ -10,8 +10,9 @@ from repro.graph.generators import citation_network, gnp_random, web_graph
 
 
 settings.register_profile("long", max_examples=500, stateful_step_count=80)
-"""The longer budget CI runs the model-based tests under
-(``--hypothesis-profile=long``); tier-1 keeps hypothesis's defaults."""
+"""The longer budget CI runs the model-based tests and the sharing-engine
+parity properties under (``--hypothesis-profile=long``); tier-1 keeps
+hypothesis's defaults."""
 
 
 @pytest.fixture(autouse=True)

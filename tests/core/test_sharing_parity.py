@@ -1,8 +1,15 @@
 """The level-synchronous sharing engine against the per-set DFS oracle.
 
-Scores must agree to 1e-12; operation counts and the memory tracker's peak
-must be identical, since they are the paper's Fig. 6d / Prop. 3 units and
-not a property of how the arithmetic is scheduled.
+Both paths are checked: the class-space ``iterate`` from a random
+class-structured state (a random class matrix and diagonal, expanded for
+the oracle), and the vertex-space ``iterate_vertices`` from an arbitrary
+``n × n`` array.  Scores must agree to 1e-12; operation counts and the
+memory tracker's peak must be identical, since they are the paper's
+Fig. 6d / Prop. 3 units and not a property of how the arithmetic is
+scheduled.
+
+The property tests take their example budget from the active hypothesis
+profile, so ``--hypothesis-profile=long`` runs them longer.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from repro.core.instrumentation import Instrumentation
 from repro.core.neighbor_index import InNeighborIndex
 from repro.core import sharing_engine
 from repro.core.plans import ROOT, PlanNode, SharingPlan
-from repro.core.sharing_engine import SharingEngine
+from repro.core.sharing_engine import ClassState, SharingEngine
 from repro.core.transition_cost import split_delta
 from repro.graph.digraph import DiGraph
 
@@ -29,28 +36,47 @@ MODES = [(0.6, True), (1.0, False)]
 """``(factor, pin_diagonal)``: OIP-SR's damped update and OIP-DSR's ``T_k``."""
 
 PROPERTY = settings(
-    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 
+def random_class_state(engine: SharingEngine, rng) -> ClassState:
+    """A random ``S = P M Pᵀ + diag(δ[c(j)])``: any class matrix, and a
+    diagonal that differs from ``M[c, c]`` only on multi-member classes."""
+    width = engine.num_sets + 1
+    matrix = rng.random((width, width))
+    members = np.bincount(engine._class_of_vertex, minlength=width)
+    diagonal = np.where(members > 1, rng.random(width), matrix.diagonal())
+    return ClassState(matrix, diagonal)
+
+
 def assert_matches_oracle(graph, plan, factor, pin_diagonal, steps=3, seed=0):
-    """Iterate both engines from a random start; compare every step."""
+    """Iterate both paths and the oracle from random starts; compare every
+    step, and the counts each path charges."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
     ours, theirs = Instrumentation(), Instrumentation()
     engine = SharingEngine(graph, plan, instrumentation=ours)
-    oracle = PerSetSharingEngine(graph.num_vertices, plan, theirs)
-    n = graph.num_vertices
-    scores = np.random.default_rng(seed).random((n, n))
-    expected = scores
-    for _ in range(steps):
-        scores = engine.iterate(scores, factor=factor, pin_diagonal=pin_diagonal)
-        expected = oracle.iterate(expected, factor=factor, pin_diagonal=pin_diagonal)
-        assert scores.flags.c_contiguous
-        assert np.max(np.abs(scores - expected), initial=0.0) <= TOLERANCE
-    assert ours.operations.counts == theirs.operations.counts
-    assert ours.memory.peak_values == theirs.memory.peak_values
-    assert ours.memory.current_values == theirs.memory.current_values == 0
+    oracle = PerSetSharingEngine(n, plan, theirs)
+    for path in ("classes", "vertices"):
+        state = random_class_state(engine, rng)
+        scores = engine.expand(state) if path == "classes" else rng.random((n, n))
+        expected = scores
+        for _ in range(steps):
+            if path == "classes":
+                state = engine.iterate(state, factor=factor, pin_diagonal=pin_diagonal)
+                scores = engine.expand(state)
+            else:
+                scores = engine.iterate_vertices(
+                    scores, factor=factor, pin_diagonal=pin_diagonal
+                )
+            expected = oracle.iterate(expected, factor=factor, pin_diagonal=pin_diagonal)
+            assert scores.flags.c_contiguous
+            assert np.max(np.abs(scores - expected), initial=0.0) <= TOLERANCE
+        assert ours.operations.counts == theirs.operations.counts
+        assert ours.memory.peak_values == theirs.memory.peak_values
+        assert ours.memory.current_values == theirs.memory.current_values == 0
 
 
 def plan_from_parents(
@@ -127,6 +153,20 @@ def random_digraphs(draw, max_vertices: int = 14, max_edges: int = 50):
 
 
 @st.composite
+def pooled_digraphs(draw, max_vertices: int = 16):
+    """Digraphs whose in-sets are drawn from a pool of at most four sets, one
+    of them empty, so many sets repeat and many vertices have none."""
+    num_vertices = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertex = st.integers(0, num_vertices - 1)
+    pool = [()] + draw(
+        st.lists(st.frozensets(vertex, min_size=1, max_size=5), min_size=1, max_size=3)
+    )
+    in_sets = draw(st.lists(st.sampled_from(pool), min_size=num_vertices, max_size=num_vertices))
+    edges = [(source, target) for target, sources in enumerate(in_sets) for source in sources]
+    return DiGraph(num_vertices, edges)
+
+
+@st.composite
 def random_plans(draw):
     """Any valid sharing tree over a random digraph's distinct in-sets: the
     parent of each set is drawn from the sets placed before it in a random
@@ -196,6 +236,11 @@ class TestOracleParity:
     def test_random_digraphs(self, case, factor, pin_diagonal):
         assert_matches_oracle(case, dmst_reduce(case), factor, pin_diagonal, steps=2)
 
+    @given(case=pooled_digraphs())
+    @PROPERTY
+    def test_repeated_and_empty_in_sets(self, case, factor, pin_diagonal):
+        assert_matches_oracle(case, dmst_reduce(case), factor, pin_diagonal, steps=2)
+
     @given(case=random_plans())
     @PROPERTY
     def test_random_sharing_trees(self, case, factor, pin_diagonal):
@@ -215,7 +260,9 @@ def test_block_boundaries(monkeypatch, block_sets, small_web_graph, small_citati
 @pytest.mark.parametrize("graph_fixture", ["berkstan_graph", "rmat_scale10_graph"])
 def test_full_size_graphs(request, graph_fixture):
     graph = request.getfixturevalue(graph_fixture)
-    assert_matches_oracle(graph, dmst_reduce(graph), 0.6, True, steps=1)
+    plan = dmst_reduce(graph)
+    for factor, pin_diagonal in MODES:
+        assert_matches_oracle(graph, plan, factor, pin_diagonal, steps=1)
 
 
 def test_non_contiguous_input_is_accepted(small_web_graph):
@@ -225,6 +272,6 @@ def test_non_contiguous_input_is_accepted(small_web_graph):
     n = small_web_graph.num_vertices
     scores = np.random.default_rng(1).random((n, n)).T
     assert not scores.flags.c_contiguous
-    ours = engine.iterate(scores, factor=0.6, pin_diagonal=True)
+    ours = engine.iterate_vertices(scores, factor=0.6, pin_diagonal=True)
     expected = oracle.iterate(scores, factor=0.6, pin_diagonal=True)
     assert np.max(np.abs(ours - expected)) <= TOLERANCE
