@@ -117,17 +117,23 @@ register_method(
     MethodSpec(
         name="oip-sr",
         solver=oip_sr,
-        capabilities=Capabilities(uses_partial_sums=True),
+        capabilities=Capabilities(uses_partial_sums=True, sparse_products=True),
     )
 )
 register_method(
     MethodSpec(
         name="oip-dsr",
         solver=oip_dsr,
-        capabilities=Capabilities(uses_partial_sums=True),
+        capabilities=Capabilities(uses_partial_sums=True, sparse_products=True),
     )
 )
-register_method(MethodSpec(name="psum", solver=psum_simrank))
+register_method(
+    MethodSpec(
+        name="psum",
+        solver=psum_simrank,
+        capabilities=Capabilities(sparse_products=True),
+    )
+)
 register_method(MethodSpec(name="naive", solver=naive_simrank))
 register_method(MethodSpec(name="monte-carlo", solver=monte_carlo_simrank))
 register_method(

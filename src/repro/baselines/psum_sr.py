@@ -18,13 +18,19 @@ implemented here and individually switchable:
    threshold are clamped to zero at the end of every iteration, trading
    accuracy for sparsity exactly as in the original paper.
 
-The implementation takes one Python step per source vertex per iteration:
-a row gather and sum for the partial sum, then one ``bincount`` over every
-edge for the outer sums.  OIP-SR instead runs blocked sparse products over
-in-neighbour classes (:mod:`repro.core.sharing_engine`), so the wall-clock
-gap between the two mixes the paper's sharing with that difference in
-implementation style; the counted additions are the like-for-like
-comparison.
+An iteration runs as two sparse products per block of
+:data:`~repro.core.sharing_engine.BLOCK_SETS` source vertices, on the
+``n × n`` in-neighbour incidence ``Inc`` (row ``v`` is ``I(v)``):
+``Partial = Inc[block] @ S`` sums every source's in-neighbour rows, and
+``Outer = Inc @ (Partialᵀ / |I(a)|)`` sums them again over every target's
+in-neighbour set; scaled by ``C / |I(b)|`` they are the block's rows of the
+next iterate.  Nothing is shared between sets: every partial and outer sum
+is recomputed from scratch each iteration, which is exactly what the
+operation counter charges.  OIP-SR runs the same kind of products over its
+DMST sharing plan and in-neighbour classes
+(:mod:`repro.core.sharing_engine`), so the wall-clock gap between the two is
+the paper's sharing plus the class collapse, not a difference in
+implementation style.
 """
 
 from __future__ import annotations
@@ -35,8 +41,16 @@ import numpy as np
 
 from ..core.instrumentation import Instrumentation
 from ..core.iteration_bounds import conventional_iterations
-from ..core.result import SimRankResult, validate_damping, validate_iterations
+from ..core.result import (
+    SimRankResult,
+    sieve,
+    validate_damping,
+    validate_iterations,
+    validate_threshold,
+)
+from ..core.sharing_engine import BLOCK_SETS
 from ..graph.digraph import DiGraph
+from ..graph.matrices import adjacency_matrix
 
 __all__ = ["psum_simrank", "essential_pair_mask"]
 
@@ -98,82 +112,73 @@ def psum_simrank(
         Enable essential node-pair selection (skips structurally-zero pairs).
     threshold:
         Threshold-sieving value ``δ``; scores below it are zeroed after each
-        iteration (0 disables sieving).
+        iteration by :func:`~repro.core.result.sieve`.  A score equal to
+        ``δ`` in exact arithmetic is kept, whatever order summed it, so
+        psum-SR and OIP-SR sieve the same entries.  0 disables sieving; a
+        negative or NaN threshold raises
+        :class:`~repro.exceptions.ConfigurationError`.
     """
     damping = validate_damping(damping)
     if iterations is None:
         iterations = conventional_iterations(accuracy, damping)
     iterations = validate_iterations(iterations)
+    threshold = validate_threshold(threshold)
 
     instrumentation = Instrumentation()
     n = graph.num_vertices
-    in_lists = [
-        np.asarray(graph.in_neighbors(vertex), dtype=np.intp)
-        for vertex in graph.vertices()
-    ]
-    in_degrees = np.array([indices.size for indices in in_lists], dtype=np.float64)
+    incidence = adjacency_matrix(graph).T.tocsr()
+    in_degrees = np.diff(incidence.indptr)
     has_in = in_degrees > 0
-
-    # Flattened in-neighbour lists: one (target, in-neighbour) entry per edge,
-    # used to evaluate every outer sum "from scratch" with one bincount —
-    # cost-equivalent to psum-SR's one-by-one accumulation.
-    target_of_entry = np.concatenate(
-        [np.full(indices.size, vertex, dtype=np.intp)
-         for vertex, indices in enumerate(in_lists) if indices.size]
-    ) if int(in_degrees.sum()) else np.zeros(0, dtype=np.intp)
-    neighbor_of_entry = (
-        np.concatenate([indices for indices in in_lists if indices.size])
-        if int(in_degrees.sum())
-        else np.zeros(0, dtype=np.intp)
-    )
+    inverse_sizes = np.zeros(n, dtype=np.float64)
+    inverse_sizes[has_in] = 1.0 / in_degrees[has_in]
+    scale_by_target = damping * inverse_sizes
 
     # Per-iteration addition counts implied by the algorithm (not the numpy
     # call pattern): partial sums cost (|I(a)|-1)·n per source, outer sums
     # cost Σ_b (|I(b)|-1) per source.  Sources with no in-neighbours are
     # skipped, so they cost neither.
-    inner_additions = int(np.maximum(in_degrees - 1, 0).sum()) * n
     outer_additions_per_source = int(np.maximum(in_degrees - 1, 0).sum())
+    inner_additions = outer_additions_per_source * n
     outer_additions = int(has_in.sum()) * outer_additions_per_source
+    # One source's length-n partial sum is live at a time.
+    partial_values = n if has_in.any() else 0
 
-    essential: Optional[np.ndarray] = None
+    inessential: Optional[np.ndarray] = None
     if select_essential_pairs:
         with instrumentation.timer.phase("essential_pairs"):
-            essential = essential_pair_mask(graph, iterations)
+            inessential = ~essential_pair_mask(graph, iterations)
 
+    # Both n × n buffers exist before the first iteration; they swap after
+    # each one (see SharingEngine.expand on where late allocations land).
     scores = np.eye(n, dtype=np.float64)
-    scale_by_target = np.zeros(n, dtype=np.float64)
-    scale_by_target[has_in] = damping / in_degrees[has_in]
+    updated = np.empty((n, n), dtype=np.float64)
+    blocks = [
+        (start, min(start + BLOCK_SETS, n), incidence[start : start + BLOCK_SETS])
+        for start in range(0, n, BLOCK_SETS)
+    ]
 
     with instrumentation.timer.phase("iterate"):
         for _ in range(iterations):
-            updated = np.zeros((n, n), dtype=np.float64)
-            for source in range(n):
-                indices = in_lists[source]
-                if not indices.size:
-                    continue
-                # Partial sums over I(source), recomputed from scratch.
-                partial = scores[indices, :].sum(axis=0)
-                instrumentation.memory.allocate(n)
-                instrumentation.operations.add(
-                    "inner", max(indices.size - 1, 0) * n
-                )
-                # Outer sums over every target's in-neighbour set.
-                row = np.bincount(
-                    target_of_entry,
-                    weights=partial[neighbor_of_entry],
-                    minlength=n,
-                )
-                instrumentation.operations.add("outer", outer_additions_per_source)
-                row *= scale_by_target / indices.size
-                if essential is not None:
-                    row = np.where(essential[source], row, 0.0)
-                updated[source, :] = row
-                instrumentation.memory.release(n)
+            instrumentation.operations.add("inner", inner_additions)
+            instrumentation.operations.add("outer", outer_additions)
+            instrumentation.memory.allocate(partial_values)
+            for start, stop, sources in blocks:
+                # Partial sums over I(a), recomputed from scratch per source.
+                partial = sources @ scores
+                # Outer sums over every target's I(b), on the transposed
+                # partial sums (pre-scaled by 1 / |I(a)|; the product needs
+                # them C-contiguous).
+                scaled = np.empty((n, stop - start), dtype=np.float64)
+                np.multiply(partial.T, inverse_sizes[start:stop], out=scaled)
+                outer = incidence @ scaled
+                rows = updated[start:stop]
+                np.multiply(outer.T, scale_by_target, out=rows)
+                if inessential is not None:
+                    rows[inessential[start:stop]] = 0.0
+            instrumentation.memory.release(partial_values)
+            sieve(updated, threshold)
             np.fill_diagonal(updated, 1.0)
-            if threshold > 0.0:
-                updated[updated < threshold] = 0.0
-                np.fill_diagonal(updated, 1.0)
-            scores = updated
+            scores, updated = updated, scores
 
     return SimRankResult(
         scores=scores,

@@ -27,13 +27,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
 from ..graph.digraph import DiGraph
 from .convergence import ConvergenceTrace
 from .dmst_reduce import check_plan, dmst_reduce
 from .instrumentation import Instrumentation
 from .iteration_bounds import conventional_iterations
-from .result import SimRankResult, validate_damping, validate_iterations
+from .result import (
+    SimRankResult,
+    sieve,
+    validate_damping,
+    validate_iterations,
+    validate_threshold,
+)
 from .sharing_engine import SharingEngine
 
 __all__ = ["oip_sr"]
@@ -76,8 +81,12 @@ def oip_sr(
     threshold:
         Threshold-sieving value ``δ`` (Lizorkin et al.'s third optimisation,
         which composes with partial-sums sharing unchanged): scores below the
-        threshold are clamped to zero after every iteration.  0 disables
-        sieving and keeps the computation exact.
+        threshold are clamped to zero after every iteration, by
+        :func:`~repro.core.result.sieve`: a score equal to ``δ`` in exact
+        arithmetic is kept, whatever order summed it, so OIP-SR and psum-SR
+        sieve the same entries.  0 disables sieving and keeps the
+        computation exact; a negative or NaN threshold raises
+        :class:`~repro.exceptions.ConfigurationError`.
     record_residuals:
         When ``True``, the max-norm difference between successive iterates
         is stored in ``result.extra["residuals"]`` (used by Fig. 6e).
@@ -92,10 +101,7 @@ def oip_sr(
     if iterations is None:
         iterations = conventional_iterations(accuracy, damping)
     iterations = validate_iterations(iterations)
-    if not threshold >= 0.0:  # also rejects NaN
-        raise ConfigurationError(
-            f"threshold must be a non-negative number, got {threshold}"
-        )
+    threshold = validate_threshold(threshold)
 
     instrumentation = Instrumentation()
     if plan is None:
@@ -118,7 +124,7 @@ def oip_sr(
         for _ in range(iterations):
             updated = engine.iterate(state, factor=damping, pin_diagonal=True)
             if threshold > 0.0:
-                updated.matrix[updated.matrix < threshold] = 0.0
+                sieve(updated.matrix, threshold)
                 engine.pin(updated)
             if record_residuals:
                 trace.record(updated.max_difference(state))

@@ -18,7 +18,20 @@ from ..exceptions import ConfigurationError
 from ..graph.digraph import DiGraph
 from .instrumentation import Instrumentation
 
-__all__ = ["SimRankResult", "validate_damping", "validate_iterations"]
+__all__ = [
+    "SIEVE_TOLERANCE",
+    "SimRankResult",
+    "sieve",
+    "validate_damping",
+    "validate_iterations",
+    "validate_threshold",
+]
+
+SIEVE_TOLERANCE = 1e-12
+"""Relative slack of threshold sieving: :func:`sieve` zeroes entries below
+``threshold · (1 − SIEVE_TOLERANCE)``.  A score equal to the threshold in
+exact arithmetic rounds to either side of it depending on the summation
+order; the slack keeps it in every order, so all solvers sieve alike."""
 
 
 def validate_damping(damping: float) -> float:
@@ -28,6 +41,26 @@ def validate_damping(damping: float) -> float:
             f"damping factor C must lie in (0, 1), got {damping}"
         )
     return float(damping)
+
+
+def validate_threshold(threshold: float) -> float:
+    """Validate a threshold-sieving value: a non-negative number."""
+    if not threshold >= 0.0:  # also rejects NaN
+        raise ConfigurationError(
+            f"threshold must be a non-negative number, got {threshold}"
+        )
+    return float(threshold)
+
+
+def sieve(values: np.ndarray, threshold: float) -> None:
+    """Threshold sieving (Lizorkin et al.): zero, in place, every entry of
+    ``values`` below ``threshold``, up to :data:`SIEVE_TOLERANCE`.
+
+    Entries equal to the threshold in exact arithmetic survive.  A threshold
+    of 0 leaves ``values`` unchanged.  Callers re-pin their diagonal.
+    """
+    if threshold > 0.0:
+        values[values < threshold * (1.0 - SIEVE_TOLERANCE)] = 0.0
 
 
 def validate_iterations(iterations: int) -> int:

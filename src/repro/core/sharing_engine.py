@@ -84,7 +84,8 @@ from .plans import ROOT, SharingPlan
 __all__ = ["SharingEngine", "ClassState"]
 
 BLOCK_SETS = 64
-"""Source sets per block; a sharing subtree larger than this is one block."""
+"""Source sets per block; a sharing subtree larger than this is one block.
+psum-SR blocks its source vertices by the same count."""
 
 GATHER_ROWS = 128
 """Output rows per slab when a class matrix is gathered to ``n × n``."""

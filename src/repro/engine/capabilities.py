@@ -77,9 +77,12 @@ class Capabilities:
     uses_partial_sums:
         Whether the method's cost is governed by the paper's partial-sum
         sharing model (Eq. 7) — the planner then scales its estimate by the
-        measured sharing ratio instead of the raw operator size, and prices
-        it as sparse products (the sharing engine's level operators) rather
-        than a per-vertex Python loop.
+        measured sharing ratio instead of the raw operator size.
+    sparse_products:
+        Whether the all-pairs solve runs as blocked sparse products (the
+        sharing engine's level operators, psum-SR's incidence products) —
+        the planner then prices it at the ``sparse_matvec`` weight rather
+        than a per-vertex Python loop's ``python_vertex_step``.
     """
 
     tasks: frozenset[str] = frozenset({"all_pairs"})
@@ -90,6 +93,7 @@ class Capabilities:
     default_backend: Optional[str] = None
     shares_transition: bool = False
     uses_partial_sums: bool = False
+    sparse_products: bool = False
 
     def __post_init__(self) -> None:
         unknown = set(self.tasks) - set(ALL_TASKS)

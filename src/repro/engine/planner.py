@@ -518,10 +518,11 @@ def plan_task(
                 capabilities, stats, iterations
             )
             # The sharing solvers run their plan as level-synchronous CSR
-            # products; psum and naive still loop over vertices in Python.
+            # products and psum its incidence products; naive and the other
+            # per-vertex solvers loop over vertices in Python.
             kernel = (
                 "sparse_matvec"
-                if capabilities.uses_partial_sums
+                if capabilities.sparse_products
                 else "python_vertex_step"
             )
             breakdown[kernel] = raw_ops

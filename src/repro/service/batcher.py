@@ -10,7 +10,9 @@ exploits that: callers :meth:`submit` queries and receive a
 last flush (de-duplicating repeated vertices) and resolves the whole batch
 with a single ``similarity_rows`` call when :meth:`flush` runs — either
 explicitly, on reaching ``max_batch`` distinct vertices, or lazily when any
-pending result is first read.
+pending result is first read.  Each handle also carries the version its
+batch was computed at, so an answer is stamped with the graph it was
+computed on even when a mutation lands between submit and flush.
 
 A lock serialises submit/flush, so concurrent threads may share one batcher;
 the compute callable itself runs outside any per-query loop but inside the
@@ -34,11 +36,12 @@ __all__ = ["MicroBatcher", "PendingResult"]
 class PendingResult:
     """A handle for one submitted query; resolves when its batch flushes."""
 
-    __slots__ = ("_batcher", "_row")
+    __slots__ = ("_batcher", "_row", "_version")
 
     def __init__(self, batcher: "MicroBatcher") -> None:
         self._batcher = batcher
         self._row: Optional[np.ndarray] = None
+        self._version: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -52,8 +55,16 @@ class PendingResult:
         assert self._row is not None  # flush resolves every pending handle
         return self._row
 
-    def _resolve(self, row: np.ndarray) -> None:
+    @property
+    def version(self) -> int:
+        """The version the row was computed at, flushing if needed."""
+        self.result()
+        assert self._version is not None
+        return self._version
+
+    def _resolve(self, row: np.ndarray, version: int) -> None:
         self._row = row
+        self._version = version
 
 
 class MicroBatcher:
@@ -63,9 +74,11 @@ class MicroBatcher:
     ----------
     compute_rows:
         Callable mapping an ``int64`` array of distinct vertex indices to
-        the matching ``(batch, n)`` array of similarity rows (the service
-        passes the backend's ``similarity_rows`` bound to the current
-        transition operator).
+        ``(rows, version)``: the matching ``(batch, n)`` array of
+        similarity rows and the version they were computed at, which every
+        handle of the batch reports as :attr:`PendingResult.version` (the
+        service passes the backend's ``similarity_rows`` on a snapshot of
+        its transition operator, with that snapshot's graph version).
     max_batch:
         Auto-flush threshold: submitting the ``max_batch``-th *distinct*
         vertex flushes immediately, bounding per-query latency under load.
@@ -80,7 +93,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        compute_rows: Callable[[np.ndarray], np.ndarray],
+        compute_rows: Callable[[np.ndarray], tuple[np.ndarray, int]],
         max_batch: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -146,13 +159,14 @@ class MicroBatcher:
             return 0
         pending, self._pending = self._pending, {}
         indices = np.fromiter(pending, dtype=np.int64, count=len(pending))
-        rows = np.atleast_2d(np.asarray(self._compute_rows(indices)))
+        rows, version = self._compute_rows(indices)
+        rows = np.atleast_2d(np.asarray(rows))
         self._batches_issued.inc()
         self._rows_computed.inc(int(indices.size))
         for position, handles in enumerate(pending.values()):
             row = rows[position]  # duplicates share one row object
             for handle in handles:
-                handle._resolve(row)
+                handle._resolve(row, version)
         return int(indices.size)
 
     @property

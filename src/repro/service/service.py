@@ -866,8 +866,10 @@ class SimilarityService:
                 row = handle.result()
                 ranking = self._rank_row(row, request.query, vertex, k)
                 rankings.append(ranking)
+                # Stamped with the version the row was computed at: a
+                # mutation may land between the probe and the flush.
                 responses[position] = self._respond(
-                    request, ranking, "compute", version_before
+                    request, ranking, "compute", handle.version
                 )
                 fresh.setdefault(vertex, row)
             write_back_started = time.perf_counter()
@@ -1061,19 +1063,19 @@ class SimilarityService:
         )
         return rows, version
 
-    def _compute_rows(self, indices: np.ndarray) -> np.ndarray:
+    def _compute_rows(self, indices: np.ndarray) -> tuple[np.ndarray, int]:
         # When a traced request is in flight on this thread, time the raw
         # backend call: the batcher flush runs this callback synchronously
         # in the caller's thread, so the interval lands in the right trace.
         intervals = getattr(self._kernel_spans, "intervals", None)
         if intervals is None:
-            return self._compute_rows_versioned(indices)[0]
+            return self._compute_rows_versioned(indices)
         kernel_started = time.perf_counter()
-        rows = self._compute_rows_versioned(indices)[0]
+        computed = self._compute_rows_versioned(indices)
         intervals.append(
             (kernel_started, time.perf_counter(), int(indices.size))
         )
-        return rows
+        return computed
 
     def _index_row_fresh(self, vertex: int) -> bool:
         # Caller holds the service lock.

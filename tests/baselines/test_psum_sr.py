@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.baselines.naive import naive_simrank
 from repro.baselines.psum_sr import essential_pair_mask, psum_simrank
 from repro.core.oip_sr import oip_sr
+from repro.exceptions import ConfigurationError
 from repro.graph.builders import path_graph
 
 
@@ -73,6 +75,11 @@ class TestThresholdSieving:
         # Large scores are unaffected by moderate sieving.
         large = plain.scores >= 0.2
         assert np.allclose(plain.scores[large], sieved.scores[large], atol=0.05)
+
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_invalid_threshold_rejected(self, paper_graph, threshold):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            psum_simrank(paper_graph, damping=0.6, iterations=3, threshold=threshold)
 
     def test_zero_threshold_is_exact(self, paper_graph):
         assert np.allclose(

@@ -11,8 +11,8 @@ from repro.graph.generators import citation_network, gnp_random, web_graph
 
 settings.register_profile("long", max_examples=500, stateful_step_count=80)
 """The longer budget CI runs the model-based tests and the sharing-engine
-parity properties under (``--hypothesis-profile=long``); tier-1 keeps
-hypothesis's defaults."""
+and psum-SR parity properties under (``--hypothesis-profile=long``);
+tier-1 keeps hypothesis's defaults."""
 
 
 @pytest.fixture(autouse=True)
@@ -78,6 +78,14 @@ def berkstan_graph():
     from repro.workloads.datasets import load_dataset
 
     return load_dataset("berkstan", 1.0)
+
+
+@pytest.fixture(scope="session")
+def dblp_d02_graph():
+    """The smallest DBLP-analogue snapshot (n = 258)."""
+    from repro.workloads.datasets import load_dataset
+
+    return load_dataset("dblp-d02", 1.0)
 
 
 @pytest.fixture(scope="session")

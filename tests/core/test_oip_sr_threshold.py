@@ -34,6 +34,26 @@ class TestThresholdSieving:
         )
         assert np.allclose(ours.scores, reference.scores, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "graph_fixture, threshold, iterations",
+        [
+            ("berkstan_graph", 0.1, 1),
+            ("rmat_scale10_graph", 0.01, 5),
+            ("dblp_d02_graph", 0.05, 5),
+        ],
+    )
+    def test_matches_psum_sr_at_tied_thresholds(
+        self, request, graph_fixture, threshold, iterations
+    ):
+        # Some scores equal the threshold in exact arithmetic and round to
+        # either side of it in each solver's summation order; both keep them.
+        graph = request.getfixturevalue(graph_fixture)
+        ours = oip_sr(graph, damping=0.6, iterations=iterations, threshold=threshold)
+        reference = psum_simrank(
+            graph, damping=0.6, iterations=iterations, threshold=threshold
+        )
+        assert np.max(np.abs(ours.scores - reference.scores)) <= 1e-12
+
     def test_large_scores_survive_moderate_sieving(self, small_web_graph):
         plain = oip_sr(small_web_graph, damping=0.6, iterations=5)
         sieved = oip_sr(small_web_graph, damping=0.6, iterations=5, threshold=0.01)

@@ -28,6 +28,7 @@ from repro.core.sharing_engine import ClassState, SharingEngine
 from repro.core.transition_cost import split_delta
 from repro.graph.digraph import DiGraph
 
+from digraph_strategies import pooled_digraphs
 from sharing_oracle import PerSetSharingEngine
 from test_networkx_oracle import ZOO
 
@@ -149,20 +150,6 @@ def random_digraphs(draw, max_vertices: int = 14, max_edges: int = 50):
             max_size=max_edges,
         )
     )
-    return DiGraph(num_vertices, edges)
-
-
-@st.composite
-def pooled_digraphs(draw, max_vertices: int = 16):
-    """Digraphs whose in-sets are drawn from a pool of at most four sets, one
-    of them empty, so many sets repeat and many vertices have none."""
-    num_vertices = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertex = st.integers(0, num_vertices - 1)
-    pool = [()] + draw(
-        st.lists(st.frozensets(vertex, min_size=1, max_size=5), min_size=1, max_size=3)
-    )
-    in_sets = draw(st.lists(st.sampled_from(pool), min_size=num_vertices, max_size=num_vertices))
-    edges = [(source, target) for target, sources in enumerate(in_sets) for source in sources]
     return DiGraph(num_vertices, edges)
 
 

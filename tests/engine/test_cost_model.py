@@ -142,24 +142,25 @@ class TestPlannerBitIdentity:
 
     def test_static_weighting_reproduces_legacy_arithmetic(self):
         # The per-vertex path computes `int(ops * PYTHON_LOOP_PENALTY)`;
-        # the sharing solvers run level-synchronous CSR products and are
-        # priced at the sparse_matvec weight instead.  Re-derive both from
-        # raw op counts and check the planner's numbers match exactly.
+        # the sharing solvers and psum run blocked CSR products and are
+        # priced at the sparse_matvec weight instead, psum without the
+        # sharing ratio.  Re-derive each from raw op counts and check the
+        # planner's numbers match exactly.
         stats = GraphStats(num_vertices=500, num_edges=2000, sharing_ratio=0.5)
         baseline = 5 * stats.num_edges * stats.num_vertices
         shared = int(baseline * 0.5)
-        for method in ("oip-sr", "oip-dsr"):
+        for method, expected in (
+            ("oip-sr", shared),
+            ("oip-dsr", shared),
+            ("psum", baseline),
+        ):
             config = EngineConfig(method=method, iterations=5)
             plan = plan_task("all_pairs", stats, config)
-            assert plan.estimated_ops == shared
+            assert plan.estimated_ops == expected
             assert [kernel for kernel, _, _ in plan.constants] == ["sparse_matvec"]
-        for method in ("psum", "naive"):
-            config = EngineConfig(method=method, iterations=5)
-            plan = plan_task("all_pairs", stats, config)
-            assert plan.estimated_ops == int(baseline * PYTHON_LOOP_PENALTY)
-            assert [kernel for kernel, _, _ in plan.constants] == [
-                "python_vertex_step"
-            ]
+        plan = plan_task("all_pairs", stats, EngineConfig(method="naive", iterations=5))
+        assert plan.estimated_ops == int(baseline * PYTHON_LOOP_PENALTY)
+        assert [kernel for kernel, _, _ in plan.constants] == ["python_vertex_step"]
         assert plan_task("all_pairs", stats, EngineConfig()).method == "matrix"
 
     def test_measured_profile_can_flip_the_backend_choice(self):

@@ -130,7 +130,7 @@ class TestMicroBatcherViews:
         import numpy as np
 
         batcher = MicroBatcher(
-            lambda indices: np.zeros((indices.size, 4)), max_batch=64
+            lambda indices: (np.zeros((indices.size, 4)), 0), max_batch=64
         )
         batcher.submit_many([1, 2, 2, 3])
         batcher.flush()
@@ -142,6 +142,6 @@ class TestMicroBatcherViews:
     def test_counter_attributes_are_read_only(self):
         import numpy as np
 
-        batcher = MicroBatcher(lambda indices: np.zeros((indices.size, 4)))
+        batcher = MicroBatcher(lambda indices: (np.zeros((indices.size, 4)), 0))
         with pytest.raises(AttributeError):
             batcher.batches_issued = 5

@@ -10,12 +10,14 @@ from repro.service import MicroBatcher
 
 
 def make_batcher(max_batch=64, calls=None):
-    """A batcher whose compute returns each index broadcast over 4 columns."""
+    """A batcher whose compute returns each index broadcast over 4 columns,
+    stamped with the number of the call that computed it."""
     calls = calls if calls is not None else []
 
     def compute_rows(indices):
         calls.append(np.array(indices))
-        return np.repeat(np.asarray(indices, dtype=np.float64)[:, None], 4, axis=1)
+        rows = np.repeat(np.asarray(indices, dtype=np.float64)[:, None], 4, axis=1)
+        return rows, len(calls)
 
     return MicroBatcher(compute_rows, max_batch=max_batch), calls
 
@@ -47,6 +49,15 @@ class TestCoalescing:
         assert not handle.done
         assert handle.result()[0] == 2.0  # result() flushed for us
         assert len(calls) == 1
+
+    def test_version_comes_from_the_computing_batch(self):
+        batcher, calls = make_batcher()
+        first = batcher.submit(1)
+        batcher.flush()
+        second, third = batcher.submit_many([1, 2])
+        assert third.version == 2  # read before result(): flushed for us
+        assert (first.version, second.version) == (1, 2)
+        assert len(calls) == 2
 
     def test_auto_flush_at_max_batch(self):
         batcher, calls = make_batcher(max_batch=3)

@@ -314,10 +314,11 @@ class TestSharedStateRegressions:
     def test_micro_batcher_pending_map_under_concurrent_submit_flush(self):
         # Regression: concurrent submits and flushes must resolve every
         # handle exactly once with the row for its own vertex.
-        def compute_rows(indices: np.ndarray) -> np.ndarray:
-            return np.repeat(
+        def compute_rows(indices: np.ndarray) -> tuple[np.ndarray, int]:
+            rows = np.repeat(
                 np.asarray(indices, dtype=np.float64)[:, None], 3, axis=1
             )
+            return rows, 0
 
         batcher = MicroBatcher(compute_rows, max_batch=8)
         errors: list[BaseException] = []

@@ -8,7 +8,7 @@ import pytest
 from repro.api import simrank, simrank_top_k
 from repro.baselines.topk import top_k_from_result
 from repro.exceptions import ConfigurationError
-from repro.graph.digraph import GraphBuilder
+from repro.graph.digraph import DiGraph, GraphBuilder
 from repro.service import (
     ErrorCode,
     QueryRequest,
@@ -202,6 +202,28 @@ class TestUpdates:
         assert service.top_k(5, k=10).labels() == top_k_from_result(
             oracle, 5, k=10
         ).labels()
+
+    def test_compute_answer_stamped_with_the_version_it_was_computed_at(
+        self, monkeypatch
+    ):
+        # Two mutations land between the miss probe (version 0) and the
+        # flush, so the row is computed on version 2 and must say so.
+        service = make_service(DiGraph(5, []), with_index=False, cache_size=0)
+        submit_many = service.batcher.submit_many
+
+        def mutate_then_submit(indices):
+            service.add_edge(0, 1)
+            service.add_edge(0, 2)
+            return submit_many(indices)
+
+        monkeypatch.setattr(service.batcher, "submit_many", mutate_then_submit)
+        response = service.query(QueryRequest(query=1, k=4))
+        assert response.tier == "compute"
+        assert response.graph_version == service.version == 2
+        oracle = make_service(service.current_graph(), with_index=False)
+        assert response.entries == oracle.query(QueryRequest(query=1, k=4)).entries
+        # The version-0 answer, with no edges, scores every vertex 0.
+        assert max(score for _, score in response.entries) > 0.0
 
 
 class TestValidation:
