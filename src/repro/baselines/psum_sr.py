@@ -64,27 +64,26 @@ def essential_pair_mask(graph: DiGraph, max_length: int) -> np.ndarray:
     essential).  Only essential pairs can ever obtain a positive SimRank
     score within ``max_length`` iterations, so the remaining pairs can be
     skipped — observation (1) of Lizorkin et al.
+
+    Each length costs two products on a 0/1 reach matrix: ``reach ← reach
+    · A`` (through the CSR transpose, clipped back to 1) and ``reachᵀ ·
+    reach``.  A sum of non-negative products is positive exactly when one
+    of its terms is, so the mask is exact.
     """
     n = graph.num_vertices
     mask = np.eye(n, dtype=bool)
-    # reach[w, v] == True when w reaches v with a path of exactly `l` edges.
-    reach = np.eye(n, dtype=bool)
-    out_lists = [np.asarray(graph.out_neighbors(v), dtype=np.intp) for v in
-                 graph.vertices()]
+    reverse = adjacency_matrix(graph).T.tocsr()
+    # reached[v, w] == 1 when w reaches v with a path of exactly `l` edges.
+    reached = np.eye(n, dtype=np.float64)
     for _ in range(max_length):
-        next_reach = np.zeros_like(reach)
-        for vertex in range(n):
-            targets = out_lists[vertex]
-            if targets.size:
-                next_reach[:, targets] |= reach[:, [vertex]]
-        reach = next_reach
-        if not reach.any():
+        reached = reverse @ reached
+        np.minimum(reached, 1.0, out=reached)
+        if not reached.any():
             break
         # Pairs co-reachable at this length become essential.
-        for w in range(n):
-            reached = np.flatnonzero(reach[w])
-            if reached.size:
-                mask[np.ix_(reached, reached)] = True
+        mask |= (reached @ reached.T) > 0.0
+        if mask.all():
+            break
     return mask
 
 

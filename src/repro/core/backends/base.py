@@ -80,11 +80,55 @@ class TransitionOperator:
         transposed = self.matrix.T
         return transposed.tocsr() if hasattr(transposed, "tocsr") else transposed
 
+    @cached_property
+    def representative(self) -> np.ndarray:
+        """Per vertex, the first vertex whose operator row is identical.
+
+        Rows compare as stored: the same column indices and the same
+        values, in the same order (every entry of a dense row).  An empty
+        row maps to ``-1``.  Vertices sharing a representative have the
+        same in-neighbour set, so their series rows agree bit for bit up
+        to a swap of their two own entries (see
+        :func:`~repro.parallel.worker.compute_topk_rows`); a vertex with an
+        empty row has the row ``e_v``.  Built in one pass over the rows on
+        first use and kept, beside :attr:`transpose`.
+        """
+        matrix = self.matrix
+        representative = np.full(self.n, -1, dtype=np.int64)
+        first: dict[bytes, int] = {}
+        if hasattr(matrix, "indptr"):
+            bounds = matrix.indptr.tolist()
+            columns = matrix.indices.tobytes()
+            values = matrix.data.tobytes()
+            column_size = matrix.indices.itemsize
+            value_size = matrix.data.itemsize
+            for vertex in range(self.n):
+                start, stop = bounds[vertex], bounds[vertex + 1]
+                if start == stop:
+                    continue
+                key = (
+                    columns[start * column_size : stop * column_size]
+                    + values[start * value_size : stop * value_size]
+                )
+                representative[vertex] = first.setdefault(key, vertex)
+        else:
+            dense = np.ascontiguousarray(matrix)
+            for vertex in np.flatnonzero(dense.any(axis=1)).tolist():
+                representative[vertex] = first.setdefault(
+                    dense[vertex].tobytes(), vertex
+                )
+        return representative
+
 
 class SimRankBackend(abc.ABC):
     """Abstract compute backend for matrix-form SimRank."""
 
     name: ClassVar[str] = "abstract"
+
+    row_tile: ClassVar[Optional[int]] = None
+    """Query columns per pass of :meth:`similarity_rows`; ``None`` = the
+    whole batch.  A constant of the backend, not an option: it trades the
+    per-tile working set against the width each operator product wants."""
 
     @abc.abstractmethod
     def transition(self, graph) -> TransitionOperator:
@@ -98,6 +142,10 @@ class SimRankBackend(abc.ABC):
     @abc.abstractmethod
     def iteration_cost(self, transition: TransitionOperator) -> int:
         """Scalar multiply-adds one iteration costs under this backend."""
+
+    def tile_width(self, batch: int) -> int:
+        """Query columns per pass of :meth:`similarity_rows` for ``batch``."""
+        return batch if self.row_tile is None else min(self.row_tile, batch)
 
     # ------------------------------------------------------------------ #
     # Shared numerics
@@ -149,11 +197,20 @@ class SimRankBackend(abc.ABC):
         """Return the similarity rows ``s(q, ·)`` for a batch of queries.
 
         Evaluates the truncated series
-        ``(1 − C) Σ_{i=0}^{K} Cⁱ Wⁱ (Wᵀ)ⁱ e_q`` for every query column at
-        once: a forward pass collects ``(Wᵀ)ⁱ e_q`` and a Horner-style
-        backward pass folds the powers of ``W`` in, so the whole batch costs
-        ``2 K`` operator-matrix products and ``O(K · n · q)`` memory — the
-        full ``n × n`` matrix is never formed.
+        ``(1 − C) Σ_{i=0}^{K} Cⁱ Wⁱ (Wᵀ)ⁱ e_q`` for every query column: a
+        forward pass collects ``(Wᵀ)ⁱ e_q`` and a Horner-style backward
+        pass folds the powers of ``W`` in, so the batch costs ``2 K``
+        operator-matrix products per column and the full ``n × n`` matrix
+        is never formed.
+
+        The batch is evaluated :attr:`row_tile` query columns at a time,
+        each tile's ``(1 − C)``-scaled rows written into one preallocated
+        C-contiguous ``(batch, n)`` result, so memory is
+        ``O(n · batch + K · n · tile)``.  A CSR-times-dense product's output
+        column depends only on its input column, so on the sparse backend
+        a row is bit-identical at every tile width and in every batch.
+        ``instrumentation`` records ``2 K · nnz`` operations per row and,
+        in its memory tracker, one tile's ``K + 1`` live series terms.
 
         The rows follow the matrix-form convention (Eq. 3 fixed point) except
         that each query's self-similarity is set to 1, matching
@@ -166,24 +223,35 @@ class SimRankBackend(abc.ABC):
         operator_t = transition.transpose
         n = transition.n
         batch = indices.size
+        tile = self.tile_width(batch)
 
-        walkers = np.zeros((n, batch), dtype=np.float64)
-        walkers[indices, np.arange(batch)] = 1.0
-        terms = [walkers]
-        for _ in range(iterations):
-            walkers = operator_t @ walkers
-            terms.append(walkers)
-
-        accumulator = terms[iterations].copy()
-        for term in range(iterations - 1, -1, -1):
-            accumulator = terms[term] + damping * (operator @ accumulator)
-        rows = (1.0 - damping) * accumulator.T
+        rows = np.empty((batch, n), dtype=np.float64)
+        for start in range(0, batch, max(tile, 1)):
+            queries = indices[start : start + tile]
+            walkers = np.zeros((n, queries.size), dtype=np.float64)
+            walkers[queries, np.arange(queries.size)] = 1.0
+            terms = [walkers]
+            for _ in range(iterations):
+                walkers = operator_t @ walkers
+                terms.append(walkers)
+            # Horner, in place: (W acc) · C + term rounds exactly as
+            # term + C · (W acc).
+            accumulator = terms[iterations]
+            for term in range(iterations - 1, -1, -1):
+                accumulator = operator @ accumulator
+                accumulator *= damping
+                accumulator += terms[term]
+            np.multiply(
+                accumulator.T, 1.0 - damping, out=rows[start : start + queries.size]
+            )
         rows[np.arange(batch), indices] = 1.0
         if instrumentation is not None:
             instrumentation.operations.add(
                 "similarity_rows", 2 * iterations * transition.nnz * batch
             )
-            instrumentation.memory.allocate((iterations + 1) * n * batch)
+            tile_values = (iterations + 1) * n * tile
+            instrumentation.memory.allocate(tile_values)
+            instrumentation.memory.release(tile_values)
         return rows
 
 

@@ -21,6 +21,9 @@ class DenseBackend(SimRankBackend):
     """Materialise ``W`` densely and iterate with BLAS matmuls."""
 
     name = "dense"
+    # BLAS wants wide products and reads the whole operator per product:
+    # 16-column tiles ran the kernel 2.4x slower at n = 1,024.
+    row_tile = None
 
     def transition(self, graph) -> TransitionOperator:
         n = graph.num_vertices

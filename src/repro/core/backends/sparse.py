@@ -24,6 +24,10 @@ class SparseBackend(SimRankBackend):
     """Keep ``W`` in CSR form and iterate with sparse-dense products."""
 
     name = "sparse"
+    # A CSR product costs the same per column at any width, so narrow tiles
+    # only shrink the working set: 16 and 32 columns measured alike on the
+    # index build, 8 and 64 slower.
+    row_tile = 16
 
     def transition(self, graph) -> TransitionOperator:
         from ...graph.matrices import (

@@ -60,6 +60,10 @@ def row_top_k(
     always exactly the prefix of the full ranking.  The returned columns are
     sorted ascending (canonical CSR order).  ``k=None`` keeps every
     surviving score.
+
+    The k-th best score is found with ``np.partition``; only the
+    candidates at or above it (ties included) are sorted, and only when
+    ties leave more than ``k`` of them.
     """
     row = np.asarray(row, dtype=np.float64).ravel()
     keep = row > 0.0
@@ -67,10 +71,13 @@ def row_top_k(
         keep &= row >= threshold
     candidates = np.flatnonzero(keep)
     if k is not None and candidates.size > k:
-        # (-score, column) order via lexsort: the last key is primary.
-        order = np.lexsort((candidates, -row[candidates]))[:k]
-        candidates = candidates[order]
-    candidates = np.sort(candidates)
+        values = row[candidates]
+        cut = values.size - max(k, 1)
+        candidates = candidates[values >= np.partition(values, cut)[cut]]
+        if candidates.size > k:
+            # (-score, column) order via lexsort: the last key is primary.
+            order = np.lexsort((candidates, -row[candidates]))[:k]
+            candidates = np.sort(candidates[order])
     return candidates.astype(np.int64), row[candidates]
 
 

@@ -356,13 +356,15 @@ class Engine:
         with self._lock:
             version = self._graph.version
             graph = self._graph.current()
-            transition = self.transition()
+            # One source for both: the class map the build reads is the
+            # operator's, so the kernel must run on that operator's backend.
+            backend, transition = self._series()
         index = _build_index(
             graph,
             index_k=self.config.index_k if index_k is None else index_k,
             damping=self.config.damping,
             iterations=self.config.resolved_iterations(),
-            backend=plan.backend,
+            backend=backend,
             workers=plan.workers,
             memory_budget=self.config.memory_budget,
             transition=transition,

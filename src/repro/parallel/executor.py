@@ -216,7 +216,9 @@ class ParallelExecutor:
             rows[position : position + shard.size] = future.result()
             position += shard.size
         if instrumentation is not None:
-            self._record_series_cost(instrumentation, indices.size)
+            self._record_series_cost(
+                instrumentation, indices.size, max(shard.size for shard in shards)
+            )
         return rows
 
     def topk_rows(
@@ -265,6 +267,9 @@ class ParallelExecutor:
         ``O(n)`` rows, regardless of how many shards the plan contains.
         The concatenation of the yielded lists equals the serial result
         exactly (same shards, same arithmetic, merge in shard order).
+        ``instrumentation`` records the kernel rows the shards actually
+        evaluate, one per distinct in-neighbour class of each shard
+        (:func:`~repro.parallel.worker.kernel_rows`).
         """
         indices = np.asarray(indices, dtype=np.int64).ravel()
         plan = plan_shards(
@@ -304,20 +309,28 @@ class ParallelExecutor:
                     next_shard += 1
                 yield result
         if instrumentation is not None:
-            self._record_series_cost(instrumentation, indices.size)
+            evaluated = [
+                _worker.kernel_rows(self.transition, shard)[1].size
+                for shard in shards
+            ]
+            self._record_series_cost(
+                instrumentation, sum(evaluated), max(evaluated, default=0)
+            )
 
     def _record_series_cost(
-        self, instrumentation: Instrumentation, batch: int
+        self, instrumentation: Instrumentation, rows: int, widest: int
     ) -> None:
         # Workers cannot share the parent's collector; the cost model is
-        # deterministic, so the parent records the same counts the serial
-        # path would have.
+        # deterministic, so the parent records the counts the kernel would
+        # have: `rows` evaluated rows, and one tile of the widest call live.
         instrumentation.operations.add(
-            "similarity_rows", 2 * self.iterations * self.transition.nnz * batch
+            "similarity_rows", 2 * self.iterations * self.transition.nnz * rows
         )
-        instrumentation.memory.allocate(
-            (self.iterations + 1) * self.transition.n * batch
+        tile_values = (
+            (self.iterations + 1) * self.transition.n * self.engine.tile_width(widest)
         )
+        instrumentation.memory.allocate(tile_values)
+        instrumentation.memory.release(tile_values)
 
     # ------------------------------------------------------------------ #
     # Barrier-synced column sharding: all-pairs iteration

@@ -35,6 +35,7 @@ __all__ = [
     "compute_series_rows",
     "compute_topk_rows",
     "initialise_worker",
+    "kernel_rows",
     "product_task",
     "series_rows_task",
     "topk_rows_task",
@@ -63,6 +64,17 @@ def compute_series_rows(engine, transition, indices, damping, iterations):
     )
 
 
+def kernel_rows(transition, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives of ``indices`` and the distinct ones, ascending.
+
+    ``transition.representative`` maps each vertex to the first vertex with
+    an identical operator row (``-1`` for an empty row); the second array
+    holds the rows the kernel evaluates for this shard.
+    """
+    representatives = transition.representative[np.asarray(indices, dtype=np.int64)]
+    return representatives, np.unique(representatives[representatives >= 0])
+
+
 def compute_topk_rows(
     engine,
     transition,
@@ -74,20 +86,40 @@ def compute_topk_rows(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-vertex truncated rows ``(columns, values)`` for an index shard.
 
-    Replicates the serial ``build_index`` inner loop exactly — zero the
-    diagonal entry, then :func:`row_top_k` — so index construction yields
-    bit-identical CSR parts for any shard boundaries.  Only the truncated
-    rows travel back to the parent, not the dense ``shard × n`` block.
+    The kernel runs once per distinct representative of the shard (see
+    :func:`kernel_rows`), with its diagonal zeroed, since the diagonal is
+    implicit in the store.  Vertex ``b`` of representative ``a`` shares
+    every series term after the first with ``a``, and ``(W x)[a] ==
+    (W x)[b]`` bit for bit because their stored operator rows are equal,
+    so row ``b`` is row ``a`` with entry ``a`` set to row ``a``'s entry
+    ``b`` and entry ``b`` set to 0.  A vertex with an empty operator row
+    has no off-diagonal score and skips the kernel.  Rows are truncated
+    with :func:`row_top_k` and returned in vertex order, so index
+    construction yields the same CSR parts for any shard boundaries —
+    bit-identical to evaluating every vertex on the sparse backend.  Only
+    the truncated rows travel back to the parent, not the dense block.
     """
     indices = np.asarray(indices, dtype=np.int64)
+    representatives, kernel = kernel_rows(transition, indices)
     rows = engine.similarity_rows(
-        transition, indices, damping=damping, iterations=iterations
+        transition, kernel, damping=damping, iterations=iterations
     )
+    rows[np.arange(kernel.size), kernel] = 0.0
+    positions = np.searchsorted(kernel, representatives).tolist()
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for position, vertex in enumerate(indices):
+    for vertex, source, position in zip(
+        indices.tolist(), representatives.tolist(), positions
+    ):
+        if source < 0:
+            parts.append((np.empty(0, dtype=np.int64), np.empty(0)))
+            continue
         row = rows[position]
-        row[vertex] = 0.0  # the diagonal is implicit in the store
+        if source == vertex:
+            parts.append(row_top_k(row, index_k, threshold=threshold))
+            continue
+        row[source], row[vertex] = row[vertex], 0.0
         parts.append(row_top_k(row, index_k, threshold=threshold))
+        row[vertex], row[source] = row[source], 0.0
     return parts
 
 

@@ -1,10 +1,12 @@
 """Offline similarity-index construction for the serving layer.
 
-The precompute-then-serve split: a batch job walks every vertex through the
-backend's batched series evaluation (``similarity_rows`` — ``O(K · n · b)``
-memory per chunk of ``b`` queries, never the full ``n × n`` matrix), keeps
-each vertex's ``index_k`` best scores, and persists the truncation as a
-:class:`~repro.core.similarity_store.SimilarityStore` ``.npz``.  The online
+The precompute-then-serve split: a batch job walks the vertex range in
+shards, evaluates one series row per distinct in-neighbour class of each
+shard (``similarity_rows``, a few query columns at a time, never the full
+``n × n`` matrix), derives every member's row from its class's by swapping
+two entries, keeps each vertex's ``index_k`` best scores, and persists the
+truncation as a :class:`~repro.core.similarity_store.SimilarityStore`
+``.npz``.  The online
 :class:`~repro.service.service.SimilarityService` then answers top-k queries
 with one CSR row lookup instead of a series evaluation.
 
@@ -74,8 +76,11 @@ def build_index(
         Compute backend for the batched evaluation; ``None`` means the
         matrix method's default (sparse CSR).
     chunk_size:
-        Vertices evaluated per backend call — bounds peak memory at
-        ``O(K · n · chunk_size)`` floats (per worker when parallel).
+        Vertices per shard.  It bounds the dense rows a shard holds at
+        ``chunk_size × n`` floats (per worker when parallel); the series
+        terms add ``(K + 1) · n`` floats per column of the backend's
+        :attr:`~repro.core.backends.SimRankBackend.row_tile` (the whole
+        shard on the dense backend).
     workers:
         Process-parallel worker count for the row sweep (``None``/1 =
         serial, ``0``/negative = all cores).  The vertex range is sharded

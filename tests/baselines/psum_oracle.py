@@ -7,6 +7,9 @@ and its outer sums over every target's in-neighbour set are one
 operation counter and holds its length-``n`` partial sum in the memory
 tracker while its row is built.  The blocked solver must reproduce its
 scores to rounding and its counts, memory peak and metadata exactly.
+
+:func:`essential_pair_mask_loop` is the per-vertex reference for
+:func:`~repro.baselines.psum_sr.essential_pair_mask`, which must equal it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.psum_sr import essential_pair_mask
 from repro.core.instrumentation import Instrumentation
 from repro.core.iteration_bounds import conventional_iterations
 from repro.core.result import (
@@ -26,6 +28,34 @@ from repro.core.result import (
     validate_threshold,
 )
 from repro.graph.digraph import DiGraph
+
+
+def essential_pair_mask_loop(graph: DiGraph, max_length: int) -> np.ndarray:
+    """Essential pairs by a per-vertex propagation of exact-length reach.
+
+    ``reach[w, v]`` holds when ``w`` reaches ``v`` by a path of exactly the
+    current length; every pair reached from one ``w`` at one length is
+    essential, and so is the diagonal.
+    """
+    n = graph.num_vertices
+    mask = np.eye(n, dtype=bool)
+    reach = np.eye(n, dtype=bool)
+    out_lists = [np.asarray(graph.out_neighbors(v), dtype=np.intp) for v in
+                 graph.vertices()]
+    for _ in range(max_length):
+        next_reach = np.zeros_like(reach)
+        for vertex in range(n):
+            targets = out_lists[vertex]
+            if targets.size:
+                next_reach[:, targets] |= reach[:, [vertex]]
+        reach = next_reach
+        if not reach.any():
+            break
+        for w in range(n):
+            reached = np.flatnonzero(reach[w])
+            if reached.size:
+                mask[np.ix_(reached, reached)] = True
+    return mask
 
 
 def psum_oracle(
@@ -73,7 +103,7 @@ def psum_oracle(
     essential: Optional[np.ndarray] = None
     if select_essential_pairs:
         with instrumentation.timer.phase("essential_pairs"):
-            essential = essential_pair_mask(graph, iterations)
+            essential = essential_pair_mask_loop(graph, iterations)
 
     scores = np.eye(n, dtype=np.float64)
     scale_by_target = np.zeros(n, dtype=np.float64)
