@@ -111,8 +111,8 @@ def open_base_segment(
     """Open a base segment; return ``(matrix, row_versions)``.
 
     With ``mmap=True`` (the default) the CSR arrays stay read-only views
-    over ``np.load(mmap_mode="r")`` memmaps — the store's copy-on-write
-    hook materialises private copies only if a mutation ever lands.
+    over ``np.load(mmap_mode="r")`` memmaps until the first row merge,
+    which builds new arrays and never writes to these.
     ``row_versions`` is always materialised (it is tiny and the restore
     path updates it in place).
     """

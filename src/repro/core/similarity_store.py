@@ -9,10 +9,11 @@ operations the examples and workloads need (pair lookup, row retrieval,
 top-k) and a compressed on-disk round trip via ``numpy``'s ``.npz`` format.
 
 The store doubles as the persisted index format of the online serving layer
-(:mod:`repro.service`), which needs two row-granular mutations on top of the
-read path: :meth:`invalidate_rows` (drop the scores of vertices whose
-neighbourhood changed) and :meth:`merge_rows` (splice freshly recomputed
-rows back in without rebuilding the whole matrix).
+(:mod:`repro.service`), which needs one row-granular mutation on top of the
+read path: :meth:`merge_rows` / :meth:`merge_row_parts` splice freshly
+recomputed rows in without rebuilding the whole matrix.  A graph mutation
+does not touch the store; the service's per-row version stamps keep its
+stale rows from being served until a merge replaces them.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ class SimilarityStore:
 
         Exposed for whole-store comparisons (the scaling benchmark checks a
         parallel build against a serial one entry for entry) and for bulk
-        analytics; mutate through :meth:`invalidate_rows` / :meth:`merge_rows`
-        instead of writing to this matrix directly.
+        analytics; mutate through :meth:`merge_rows` /
+        :meth:`merge_row_parts`, which replace the matrix and never write
+        to its arrays, so a memory-mapped base stays read-only.
         """
         return self._matrix
 
@@ -282,53 +284,8 @@ class SimilarityStore:
         ]
 
     # ------------------------------------------------------------------ #
-    # Row-granular mutation (the serving layer's incremental-update hooks)
+    # Row-granular mutation (the serving layer's incremental-update hook)
     # ------------------------------------------------------------------ #
-    def _ensure_writable(self) -> None:
-        """Copy-on-write for read-only (memory-mapped) backing arrays.
-
-        Stores opened from a durable catalog keep their CSR arrays as
-        read-only views over ``np.load(mmap_mode="r")`` memmaps; the first
-        in-place mutation materialises private writable copies so the
-        on-disk base segment is never written through.
-        """
-        matrix = self._matrix
-        if (
-            matrix.data.flags.writeable
-            and matrix.indices.flags.writeable
-            and matrix.indptr.flags.writeable
-        ):
-            return
-        self._matrix = sparse.csr_matrix(
-            (
-                np.array(matrix.data),
-                np.array(matrix.indices),
-                np.array(matrix.indptr),
-            ),
-            shape=matrix.shape,
-        )
-
-    def invalidate_rows(self, rows: Sequence[int]) -> int:
-        """Drop every stored score in the given rows; return how many fell.
-
-        Used by the serving layer when a graph mutation makes the stored
-        rows of the affected vertices untrustworthy: the rows become empty
-        (queries against them see only the implicit unit diagonal) until
-        :meth:`merge_rows` splices refreshed scores back in.
-        """
-        indices = self._validate_rows(rows)
-        if indices.size == 0:
-            return 0
-        self._ensure_writable()
-        lengths = np.diff(self._matrix.indptr)
-        hit = np.zeros(self.num_vertices, dtype=bool)
-        hit[indices] = True
-        mask = np.repeat(hit, lengths)
-        dropped = int(np.count_nonzero(self._matrix.data[mask]))
-        self._matrix.data[mask] = 0.0
-        self._matrix.eliminate_zeros()
-        return dropped
-
     def merge_rows(
         self,
         rows: Sequence[int],

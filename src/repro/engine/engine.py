@@ -167,6 +167,7 @@ class Engine:
         self._index: Optional[SimilarityStore] = None
         self._fingerprints: Optional[FingerprintIndex] = None
         self._cost_model: Optional[CostModel] = None
+        self._series_backend: Optional[str] = None
         # Resolved plans, keyed by (task, queries, config digest, model
         # digest) — the GraphStats component is implicit: _on_mutation()
         # clears the cache whenever the stats can change.
@@ -290,11 +291,21 @@ class Engine:
     # Shared artifacts
     # ------------------------------------------------------------------ #
     def _series_backend_name(self) -> str:
-        """The backend the shared series artifacts are built on."""
-        spec = METHODS["matrix"]
-        if self.config.backend is not None:
-            return _resolve_backend(spec, self.config.backend)
-        return self._plan("top_k").backend
+        """The backend the shared series artifacts are built on.
+
+        Resolved on first use and kept for the session: a mutation
+        re-prices the plans, but dense and sparse sums differ in the last
+        bits, so a backend that followed the plan would make the engine and
+        the services it created answer the same query differently.
+        """
+        with self._lock:
+            if self._series_backend is None:
+                spec = METHODS["matrix"]
+                if self.config.backend is not None:
+                    self._series_backend = _resolve_backend(spec, self.config.backend)
+                else:
+                    self._series_backend = self._plan("top_k").backend
+            return self._series_backend
 
     def transition(self) -> TransitionOperator:
         """The session's transition operator, built once and reused.
@@ -641,7 +652,7 @@ class Engine:
                 k=k,
                 damping=self.config.damping,
                 iterations=self.config.resolved_iterations(),
-                backend=plan.backend,
+                backend=self._series_backend_name(),
                 cache_size=self.config.cache_size,
                 max_batch=self.config.max_batch,
                 workers=plan.workers,

@@ -4,6 +4,10 @@ An :class:`~repro.engine.Engine` and every
 :class:`~repro.service.service.SimilarityService` it creates hold the same
 :class:`VersionedGraph`, so they cannot report one version over two edge
 sets, and the operator rebuilt after a mutation is rebuilt once for all.
+
+A mutated graph keeps its edges as a set of integer keys
+``source · n + target``: a mutation is one O(1) set operation, and the
+edge-list view a new version needs is one ``np.sort`` of the keys.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from .edgelist import EdgeListGraph
+from .matrices import edge_arrays
 
 if TYPE_CHECKING:
     from ..core.backends import SimRankBackend, TransitionOperator
@@ -30,11 +35,12 @@ class VersionedGraph:
     The vertex set and labels are fixed; edges change through
     :meth:`add_edge` / :meth:`remove_edge`, which run under :attr:`lock`:
 
-    1. resolve the labels; a no-op returns ``False``;
+    1. resolve the labels to the edge's key ``source · n + target``; a
+       no-op returns ``False``;
     2. append to the journal, if one is attached — if the append raises,
        nothing has changed;
-    3. apply the edge, bump the version, drop the edge-list view and the
-       transition operators;
+    3. add the key to or remove it from the edge-key set, bump the
+       version, drop the edge-list view and the transition operators;
     4. call the subscribers, which drop or stale what they derived.
 
     Subscribers are held weakly, so an owner dropped without ``close()``
@@ -46,9 +52,8 @@ class VersionedGraph:
         self.lock = threading.RLock()
         """Guards the graph and everything its owners derive from it."""
         self._version = 0
-        # Built on first use: the set costs milliseconds on a benchmark
-        # graph, and one-shot solves never mutate.
-        self._edges: Optional[set[tuple[int, int]]] = None
+        # Built on first use: one-shot solves never mutate.
+        self._edges: Optional[set[int]] = None
         self._view: Optional[EdgeListGraph] = None
         self._operators: dict[str, TransitionOperator] = {}
         self._journal = None
@@ -91,23 +96,24 @@ class VersionedGraph:
 
     def current(self):
         """The caller's graph at version 0; afterwards an
-        :class:`EdgeListGraph` of the sorted edges, built once per version."""
+        :class:`EdgeListGraph` of the distinct edges in source-major order,
+        built once per version from one sort of the edge keys."""
         with self.lock:
             if not self._version:
                 return self.base
             if self._view is None:
-                pairs = np.array(sorted(self._materialise()), dtype=np.int64)
-                pairs = pairs.reshape(-1, 2)
+                edges = self._materialise()
+                n = self.num_vertices
+                keys = np.sort(np.fromiter(edges, np.int64, count=len(edges)))
                 self._view = EdgeListGraph.from_arrays(
-                    self.num_vertices, pairs[:, 0], pairs[:, 1],
-                    name=getattr(self.base, "name", ""),
+                    n, keys // n, keys % n, name=getattr(self.base, "name", "")
                 )
             return self._view
 
     def has_edge(self, source: Hashable, target: Hashable) -> bool:
-        edge = (self.index_of(source), self.index_of(target))
+        key = self._key(self.index_of(source), self.index_of(target))
         with self.lock:
-            return edge in self._materialise()
+            return key in self._materialise()
 
     def transition(
         self, backend: SimRankBackend
@@ -153,32 +159,38 @@ class VersionedGraph:
             if ops:
                 edges = self._materialise()
                 for op, source, target, _ in ops:
-                    edge = (int(source), int(target))
-                    (edges.add if op == "add" else edges.discard)(edge)
-                    touched.update(edge)
+                    source, target = int(source), int(target)
+                    key = self._key(source, target)
+                    (edges.add if op == "add" else edges.discard)(key)
+                    touched.update((source, target))
             self._journal = journal
             if version:
                 self._advance(int(version), sorted(touched))
 
     def _mutate(self, op: str, source: Hashable, target: Hashable) -> bool:
-        edge = (self.index_of(source), self.index_of(target))
+        source, target = self.index_of(source), self.index_of(target)
+        key = self._key(source, target)
         with self.lock:
             edges = self._materialise()
-            if (edge in edges) == (op == "add"):
+            if (key in edges) == (op == "add"):
                 return False
             version = self._version + 1
             if self._journal is not None:
-                self._journal.append_edge(op, edge[0], edge[1], version)
-            (edges.add if op == "add" else edges.remove)(edge)
-            self._advance(version, sorted(set(edge)))
+                self._journal.append_edge(op, source, target, version)
+            (edges.add if op == "add" else edges.remove)(key)
+            self._advance(version, sorted({source, target}))
             return True
 
-    def _materialise(self) -> set[tuple[int, int]]:
+    def _key(self, source: int, target: int) -> int:
+        return source * self.num_vertices + target
+
+    def _materialise(self) -> set[int]:
+        """The edge-key set, built on first use from the caller's graph's
+        edge arrays (duplicate samples collapse into one key)."""
         # Caller holds the lock.
         if self._edges is None:
-            self._edges = {
-                (int(source), int(target)) for source, target in self.base.edges()
-            }
+            sources, targets = edge_arrays(self.base)
+            self._edges = set((sources * self.num_vertices + targets).tolist())
         return self._edges
 
     def _advance(self, version: int, endpoints: list[int]) -> None:

@@ -41,12 +41,15 @@ literature tracks score *deltas* rather than pruned vertex sets).  The
 service therefore does not pretend a mutation is local: a mutation bumps
 the graph version, which stamps every index row stale, and the service's
 listener invalidates the whole cache and marks the edge endpoints *dirty*.
-:meth:`refresh` then eagerly recomputes only the dirty rows (batched, at
-the current version), while every other row is lazily recomputed-and-merged
-the first time it is queried.  Served answers are consequently always exact
-with respect to the current graph — identical to a from-scratch rebuild —
-but the up-front cost of a mutation is ``O(dirty)`` rows instead of
-``O(n)``.
+The index arrays are not touched: a stale row keeps its old entries, never
+served, until a merge replaces it.  A mutation therefore costs one O(1)
+edge-key update plus, with a catalog attached, the edge log's fsync; the
+first read after it rebuilds the edge-list view and the transition
+operator.  :meth:`refresh` then eagerly recomputes only the dirty rows
+(batched, at the current version), while every other row is lazily
+recomputed-and-merged the first time it is queried.  Served answers are
+consequently always exact with respect to the current graph — identical
+to a from-scratch rebuild.
 
 **Thread safety.**  The service is safe for concurrent readers and
 concurrent mutators, through it or through its engine.  The graph's
@@ -998,11 +1001,9 @@ class SimilarityService:
         # SimRank edits are global: every cached ranking and every index row
         # is potentially affected, so invalidation is version-based and
         # total.  Recomputation, not invalidation, is what stays local.  The
-        # endpoint rows are additionally dropped from the index outright —
-        # their stored scores are the most wrong, and keeping them would
-        # only occupy memory until refresh()/lazy recompute replaces them.
-        if self._index is not None:
-            self._index.invalidate_rows(endpoints)
+        # index itself is left alone: every row's version stamp is now
+        # behind the graph's, so no row is served until refresh() or a
+        # compute-tier merge replaces it (at most index_k old entries each).
         self.cache.invalidate()
         self.stats.note_update()
 

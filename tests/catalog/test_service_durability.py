@@ -21,6 +21,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.catalog import IndexCatalog
@@ -157,6 +158,31 @@ class TestAbandonAndRestore:
             assert [label for label, _ in response.entries] == expected.labels()
             assert [score for _, score in response.entries] == expected.scores()
         _assert_bit_identical(restored, oracle, catalog_graph.num_vertices)
+
+
+class TestMutationLeavesTheBaseMapped:
+    def test_add_edge_keeps_the_mapped_arrays(
+        self, tmp_path, catalog_graph, catalog_index
+    ):
+        # The restored arrays are read-only memory-mapped views (see
+        # test_catalog's test_restore_is_memory_mapped); a mutation must
+        # neither copy them nor write through them.
+        IndexCatalog.create(tmp_path / "catalog", catalog_index)
+        service = _service(
+            catalog_graph, catalog=IndexCatalog.open(tmp_path / "catalog")
+        )
+        matrix = service.index.matrix
+        arrays = (matrix.indptr, matrix.indices, matrix.data)
+        contents = [array.copy() for array in arrays]
+        (edge,) = _novel_edges(catalog_graph, 1)
+        assert service.add_edge(*edge)
+        after = service.index.matrix
+        for array, now, copy in zip(
+            arrays, (after.indptr, after.indices, after.data), contents
+        ):
+            assert now is array
+            assert not now.flags.writeable
+            assert np.array_equal(now, copy)
 
 
 def _enospc(self, *args, **kwargs):

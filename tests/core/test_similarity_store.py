@@ -113,36 +113,21 @@ class TestRowTopK:
 
 
 class TestRowMutation:
-    def test_invalidate_rows_empties_them(self, dense_result):
-        store = SimilarityStore.from_result(dense_result, top_k=5)
-        before = store.num_stored_scores
-        dropped = store.invalidate_rows([0, 3])
-        assert dropped > 0
-        assert store.num_stored_scores == before - dropped
-        # Invalidated rows rank as all-zero rows: zero-score padding in
-        # ascending column order, per ranked_entries semantics.
-        assert all(score == 0.0 for _, score in store.top_k(0, k=5))
-        assert all(score == 0.0 for _, score in store.top_k(3, k=5))
-        # The diagonal stays implicit even for invalidated rows.
-        assert store.similarity(0, 0) == 1.0
-
-    def test_invalidate_out_of_range_rejected(self, dense_result):
-        from repro.exceptions import ConfigurationError as CfgError
-
-        store = SimilarityStore.from_result(dense_result, top_k=5)
-        with pytest.raises(CfgError):
-            store.invalidate_rows([store.num_vertices])
-
-    def test_merge_rows_round_trips_an_invalidation(self, dense_result):
+    def test_merge_rows_round_trips_another_results_rows(self, dense_result):
         store = SimilarityStore.from_result(dense_result, top_k=5)
         reference = SimilarityStore.from_result(dense_result, top_k=5)
+        other = oip_sr(dense_result.graph, damping=0.8, iterations=6)
+        replaced = SimilarityStore.from_result(other, top_k=5)
         rows = [2, 7, 11]
-        store.invalidate_rows(rows)
-        dense = np.stack([dense_result.scores[row] for row in rows])
-        store.merge_rows(rows, dense, top_k=5)
+        store.merge_rows(rows, other.scores[rows], top_k=5)
         for row in rows:
-            assert store.top_k(row, k=5) == reference.top_k(row, k=5)
-        assert store.num_stored_scores == reference.num_stored_scores
+            assert store.top_k(row, k=5) == replaced.top_k(row, k=5)
+            assert store.top_k(row, k=5) != reference.top_k(row, k=5)
+        store.merge_rows(rows, dense_result.scores[rows], top_k=5)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(store.matrix, part), getattr(reference.matrix, part)
+            )
 
     def test_merge_leaves_other_rows_untouched(self, dense_result):
         store = SimilarityStore.from_result(dense_result, top_k=5)
@@ -160,6 +145,8 @@ class TestRowMutation:
             store.merge_rows([0], np.zeros((2, store.num_vertices)))
         with pytest.raises(CfgError):
             store.merge_rows([0, 0], np.zeros((2, store.num_vertices)))
+        with pytest.raises(CfgError):
+            store.merge_rows([store.num_vertices], np.zeros((1, store.num_vertices)))
 
 
 class TestExtraMetadataPersistence:

@@ -6,9 +6,9 @@ properties are what the service's correctness argument leans on:
 * ``row_top_k`` truncation is a *prefix* of the full deterministic ranking
   under ``(-score, id)`` order — so serving any ``k ≤ index_k`` query from
   a truncated row equals serving it from the full row;
-* ``merge_rows`` after ``invalidate_rows`` round-trips — so the service's
-  invalidate-then-refresh cycle restores exactly the state a from-scratch
-  build would produce;
+* merging other rows and then the originals back round-trips — so a row
+  the service refreshes is exactly the row a from-scratch build stores,
+  whatever the row held before;
 * the ``.npz`` save/load round trip preserves rows, sparsity structure and
   metadata exactly — so a restarted service serves the same answers.
 """
@@ -142,13 +142,13 @@ def test_row_top_k_drops_non_positive_scores_and_sorts_columns(row):
 
 
 # --------------------------------------------------------------------------- #
-# merge_rows ∘ invalidate_rows round trip
+# merge_rows of other rows, then of the originals: a round trip
 # --------------------------------------------------------------------------- #
 
 
 @PROPERTY
 @given(data=st.data(), built=stores())
-def test_invalidate_then_merge_round_trips(data, built):
+def test_merge_then_merge_back_round_trips(data, built):
     store, dense, top_k = built
     n = store.num_vertices
     before = store.matrix.copy()
@@ -157,17 +157,25 @@ def test_invalidate_then_merge_round_trips(data, built):
             st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
         )
     )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    other = rng.random((len(rows), n))
+    other[rng.random(other.shape) < 0.4] = 0.0
 
-    dropped = store.invalidate_rows(rows)
-    assert dropped == int(
-        sum(before.getrow(row).nnz for row in rows)
-    )
-    for row in rows:
-        assert store.matrix.getrow(row).nnz == 0  # rows truly emptied
+    store.merge_rows(rows, other, top_k=top_k)
+    for position, row in enumerate(rows):
+        fresh = other[position].copy()
+        fresh[row] = 0.0
+        columns, values = row_top_k(fresh, top_k)
+        stored = store.matrix.getrow(row)
+        assert np.array_equal(stored.indices, columns)
+        assert np.array_equal(stored.data, values)
 
     store.merge_rows(rows, dense[rows], top_k=top_k)
     after = store.matrix
     assert (after != before).nnz == 0  # exact CSR round trip
+    assert np.array_equal(after.indptr, before.indptr)
+    assert np.array_equal(after.indices, before.indices)
+    assert np.array_equal(after.data, before.data)
 
 
 @PROPERTY
@@ -223,9 +231,14 @@ def test_save_load_round_trips_for_any_suffix(built, suffix, empty, extra):
     appends ``.npz``) while ``load`` opened the literal path — so the
     round trip broke for every path not already ending in ``.npz``.
     """
-    store, _, _ = built
+    store, dense, top_k = built
     if empty:
-        store.invalidate_rows(list(range(store.num_vertices)))
+        store = SimilarityStore(
+            _csr_from_dense(np.zeros_like(dense), top_k),
+            store.graph,
+            algorithm=store.algorithm,
+            damping=store.damping,
+        )
     store.extra = dict(extra)
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"store{suffix}"

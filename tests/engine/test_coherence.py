@@ -19,6 +19,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -39,8 +40,8 @@ ITERATIONS = 6
 INDEX_K = 3
 # Exact answers are bit-identical per backend, and the planner may pick
 # dense for a tiny graph, whose sums differ from sparse in the last bits.
-# A service keeps the backend planned at serve() time while the engine
-# re-plans after each mutation, so every owner here is pinned to one.
+# The session keeps one backend across mutations, but the oracle is a
+# fresh engine that plans on its own, so every owner here is pinned to one.
 BACKEND = "sparse"
 
 vertices = st.integers(0, MAX_VERTICES - 1)
@@ -175,6 +176,14 @@ class EngineServiceCoherence(RuleBasedStateMachine):
         assert set(self.engine.current_graph().edges()) == self.edges
         assert set(self.service.current_graph().edges()) == self.edges
         assert len(self.service.catalog.read_edge_log()) == self.version
+        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        for owner in (self.engine, self.service):
+            sources, targets = owner.current_graph().edge_arrays()
+            assert sources.dtype == targets.dtype == np.int64
+            assert np.array_equal(sources, pairs[:, 0])
+            assert np.array_equal(targets, pairs[:, 1])
+            if self.version:
+                assert owner.num_edges == len(self.edges)
 
     @precondition(lambda self: hasattr(self, "engine"))
     @invariant()

@@ -305,6 +305,24 @@ class TestMutation:
             assert engine.version == 2
 
 
+    def test_series_backend_is_kept_across_mutations(self):
+        # Four inserts flip this graph's top-k plan from sparse to dense,
+        # whose sums differ from sparse in the last bits.  The session keeps
+        # the backend it resolved first, so the engine and the service it
+        # created still give the same answer.
+        graph = EdgeListGraph(8, [(1, 1), (4, 6), (4, 7), (6, 1), (6, 6)])
+        config = EngineConfig(iterations=6, cost_profile="static")
+        with Engine(graph, config) as engine:
+            service = engine.serve()
+            assert engine.plan("top_k").backend == "sparse"
+            for edge in [(6, 3), (5, 4), (1, 3), (3, 3)]:
+                assert engine.add_edge(*edge)
+            with Engine(engine.current_graph(), config) as fresh:
+                assert fresh.plan("top_k").backend == "dense"
+            expected = engine.top_k([3], k=7)[0].entries
+            assert service.top_k(3, k=7).entries == expected
+
+
 class TestValidation:
     def test_unknown_method_rejected_at_plan_time(self, paper_graph):
         engine = Engine(paper_graph, EngineConfig(method="not-a-method"))

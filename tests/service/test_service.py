@@ -144,6 +144,24 @@ class TestUpdates:
         assert service.dirty_vertices == {40, 41}
         assert len(service.cache) == 0
 
+    def test_mutation_leaves_the_index_arrays_alone(self, served_graph):
+        # Every row's version stamp is behind the graph's after a mutation,
+        # so nothing needs rewriting: the stale rows are never served.
+        service = make_service(served_graph)
+        matrix = service.index.matrix
+        arrays = (matrix.indptr, matrix.indices, matrix.data)
+        contents = [array.copy() for array in arrays]
+        assert service.add_edge(40, 41)
+        after = service.index.matrix
+        assert after is matrix
+        for array, now, copy in zip(
+            arrays, (after.indptr, after.indices, after.data), contents
+        ):
+            assert now is array
+            assert np.array_equal(now, copy)
+        for vertex in (40, 41, 3):
+            assert service.query(QueryRequest(query=vertex, k=10)).tier == "compute"
+
     def test_duplicate_insert_is_a_noop(self, served_graph):
         service = make_service(served_graph, with_index=False)
         service.add_edge(10, 11)
